@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import _linalg as la
 from .errors import FrameMismatch, NotACochain
-from .ratfield import Poly, RatFunc, ratfunc_text
+from .ratfield import Poly, RatFunc, ratfunc_text, zpow
 
 __all__ = [
     "SplitBundle",
@@ -344,19 +344,13 @@ class TransitionData:
         return _diag_powers(self.f_degrees)
 
     def l_transition(self) -> RatFunc:
-        return _zpow(self.ell)
-
-
-def _zpow(k: int) -> RatFunc:
-    if k >= 0:
-        return RatFunc(Poly.monomial(k))
-    return RatFunc(Poly.one(), Poly.monomial(-k))
+        return zpow(self.ell)
 
 
 def _diag_powers(degrees: Frame) -> list[list[RatFunc]]:
     n = len(degrees)
     return [
-        [_zpow(degrees[i]) if i == j else RatFunc.zero() for j in range(n)]
+        [zpow(degrees[i]) if i == j else RatFunc.zero() for j in range(n)]
         for i in range(n)
     ]
 
@@ -373,7 +367,7 @@ def _glues(a0, ainf, td: TransitionData) -> bool:
     ds, ell = td.e_degrees, td.ell
     for i in range(n):
         for j in range(n):
-            if a0[i][j] * _zpow(ds[j]) != _zpow(ell - ds[i]) * ainf[i][j]:
+            if a0[i][j] * zpow(ds[j]) != zpow(ell - ds[i]) * ainf[i][j]:
                 return False
     return True
 

@@ -147,7 +147,7 @@ def _parse_bounds_flag(text: str) -> SearchBounds:
         )
     try:
         return SearchBounds(points, order, values, cap)
-    except ValueError as exc:
+    except FrameMismatch as exc:
         raise ParseError(f"invalid bounds: {exc}")
 
 
@@ -371,13 +371,26 @@ def cmd_search(args) -> int:
 # ============================================================
 
 
+class _CheckFailed(Exception):
+    """An invariant of a self-test suite does not hold."""
+
+
+def _check(ok: bool, what: str) -> None:
+    # an explicit raise, so the suites still check under python -O
+    if not ok:
+        raise _CheckFailed(what)
+
+
 def _suite_parser(rng) -> int:
     count = 0
     for _ in range(40):
         m = sampling.rathom(rng, (1, 2), (-1, -2), max_order=2, poly_deg=1)
         for row in m.entries:
             for f in row:
-                assert parse_ratfunc(ratfunc_text(f)) == f
+                _check(
+                    parse_ratfunc(ratfunc_text(f)) == f,
+                    "expression text does not parse back",
+                )
                 count += 1
     return count
 
@@ -385,10 +398,13 @@ def _suite_parser(rng) -> int:
 def _suite_classes(rng) -> int:
     for _ in range(40):
         p = sampling.prinhom(rng, (1, 2), (-1, -2), max_order=2)
-        assert cech_class(cocycle_of(p), p.src, p.dst) == reduce_class(p)
-        assert transpose_prin(transpose_prin(p)) == p
+        _check(
+            cech_class(cocycle_of(p), p.src, p.dst) == reduce_class(p),
+            "class of the cocycle of p is not [p]",
+        )
+        _check(transpose_prin(transpose_prin(p)) == p, "transpose is no involution")
         cb = sampling.coboundary_prinhom(rng, (1, 2), (-1, -2))
-        assert reduce_class(cb).is_zero
+        _check(reduce_class(cb).is_zero, "coboundary with a nonzero class")
     return 40
 
 
@@ -402,7 +418,10 @@ def _suite_cochains(rng) -> int:
             [rows0[i][j] * zpow(ds[i] + ds[j] - ell) for j in range(n)]
             for i in range(n)
         ]
-        assert cocycle_transpose_check((rows0, rowsinf), frames)
+        _check(
+            cocycle_transpose_check((rows0, rowsinf), frames),
+            "transposed cochain does not glue",
+        )
     return 30
 
 
@@ -411,16 +430,25 @@ def _suite_forms(rng) -> int:
     while done < 10:
         ext = sampling.symmetric_class_extension(rng, (-1, -2), 0)
         se = check_symplectic(ext)
-        assert se is not None, "symmetric class must carry a structure"
-        assert prin_of(se.alpha) == transpose_prin(ext.p) - ext.p
-        assert transpose_hom(se.alpha) == se.alpha.scale(-1)
+        _check(se is not None, "symmetric class must carry a structure")
+        _check(
+            prin_of(se.alpha) == transpose_prin(ext.p) - ext.p,
+            "alpha does not have the tails of t(p) - p",
+        )
+        _check(
+            transpose_hom(se.alpha) == se.alpha.scale(-1),
+            "alpha is not antisymmetric",
+        )
         pair = sampling.member_pair(rng, ext)
         if pair is None:
             continue
         m1, m2 = pair
-        assert is_global_member(ext, m1)
+        _check(is_global_member(ext, m1), "sampled member is not global")
         v12, v21 = se.theta(m1, m2), se.theta(m2, m1)
-        assert v12.is_polynomial and (v12 + v21).is_zero
+        _check(
+            v12.is_polynomial and (v12 + v21).is_zero,
+            "theta is not a global antisymmetric pairing",
+        )
         done += 1
     return done
 
@@ -430,22 +458,28 @@ def _suite_graphs(rng) -> int:
         ext = sampling.extension(rng, (-1, -1), 0, max_order=2)
         beta = sampling.rathom(rng, ext.f_frame, ext.e_frame, max_order=2)
         G = graph_subbundle(ext, beta)
-        assert G.degree == sum(ext.f_frame) - prin_length(G.q)
-        assert sum(G.splitting) == G.degree
-        assert splitting_type(G) == G.splitting
+        _check(
+            G.degree == sum(ext.f_frame) - prin_length(G.q),
+            "degree is not deg F minus the length of q",
+        )
+        _check(sum(G.splitting) == G.degree, "splitting does not sum to the degree")
+        _check(splitting_type(G) == G.splitting, "splitting_type disagrees")
         from .subbundles import beta_from_subbundle
 
-        assert beta_from_subbundle(G.basis_0, G.basis_inf, ext) == beta
+        _check(
+            beta_from_subbundle(G.basis_0, G.basis_inf, ext) == beta,
+            "beta does not come back from its graph",
+        )
     return 10
 
 
 def _suite_roundtrip(rng) -> int:
     for _ in range(8):
         ext = sampling.extension(rng, (-1, -1), 0, max_order=2)
-        assert h0_hom(ext.f_frame, ext.e_frame) == 0
+        _check(h0_hom(ext.f_frame, ext.e_frame) == 0, "Hom(F, E) has sections")
         q = sampling.coboundary_prinhom(rng, ext.f_frame, ext.e_frame) + ext.p
         G = cor6_forward(ext, q)
-        assert cor6_backward(ext, G) == q
+        _check(cor6_backward(ext, G) == q, "q does not come back from its graph")
     return 8
 
 
@@ -463,10 +497,9 @@ def cmd_selftest(args) -> int:
         rng = random.Random(20260817)
         try:
             cases = suite(rng)
-        except AssertionError as exc:
+        except _CheckFailed as exc:
             failed = True
-            detail = f": {exc}" if str(exc) else ""
-            print(f"FAIL {name}{detail}")
+            print(f"FAIL {name}: {exc}")
         else:
             print(f"ok   {name} ({cases} cases)")
     if failed:

@@ -18,6 +18,7 @@ descriptions of an extension can be compared coefficient by coefficient.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -32,6 +33,7 @@ from .ratfield import (
     as_fraction,
     full_principal_part,
     polar_coeffs_as_ratfunc,
+    zpow,
 )
 
 __all__ = [
@@ -59,12 +61,6 @@ def _trim(coeffs: Iterable) -> Coeffs:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _zpow(k: int) -> RatFunc:
-    if k >= 0:
-        return RatFunc(Poly.monomial(k))
-    return RatFunc(Poly.one(), Poly.monomial(-k))
 
 
 class PrinHom:
@@ -373,20 +369,36 @@ class CohClass:
         )
 
 
-def _infinity_excess(g: RatFunc, twist: int) -> Coeffs:
-    """Polar tail at infinity, in the given twist, of a rational
-    function: the u-polar of u^twist g(1/u)."""
-    if g.is_zero:
-        return ()
-    return g.flip(twist).polar0()
+def _finite_excess(
+    p: PrinHom, i: int, j: int, skip: PointP1 | None = None
+) -> list[Fraction]:
+    """Tail at infinity, orders 1 .. -t-1, that the finite tails of entry
+    (i, j) carry in its twist t (optionally skipping one point).
+
+    In u = 1/z the tail c/(z-a)^k reads c u^(t+k) (1 - a u)^(-k), so it
+    adds c * C(k+m-1, m) * a^m at order r, where m = -r-t-k >= 0.  No
+    order goes past -t-1, and a = 0 reaches order -t-k only.
+    """
+    t = p.twist(i, j)
+    out = [Fraction(0)] * max(0, -t - 1)
+    for pt, mat in p.parts.items():
+        if pt.is_infinity or pt == skip:
+            continue
+        a = pt.value
+        for k, c in enumerate(mat[i][j], 1):
+            if not c:
+                continue
+            for m in range(-t - k):
+                out[-t - k - m - 1] += c * math.comb(k + m - 1, m) * a**m
+    return out
 
 
 def reduce_class(p: PrinHom) -> CohClass:
     """Canonical representative of the class of a principal part system.
 
-    Per entry subtract the tails of the assembled finite parts, leaving a
-    tail at infinity alone; then discard the orders a polynomial can
-    reach.  What is left are the coefficients c_k, 1 <= k <= -t - 1.
+    Per entry subtract from the tail at infinity the tail that the finite
+    tails carry there, keeping only the orders no polynomial can reach.
+    What is left are the coefficients c_k, 1 <= k <= -t - 1.
 
     >>> from .ratfield import PointP1
     >>> p = PrinHom((0,), (-2,), {PointP1.finite(1): [[(1,)]]})
@@ -403,11 +415,10 @@ def reduce_class(p: PrinHom) -> CohClass:
             length = max(0, -t - 1)
             if length == 0:
                 continue
-            exc = _infinity_excess(assembled_finite(p, i, j), t)
+            exc = _finite_excess(p, i, j)
             pinf = p.entry(INFINITY, i, j)
             vals = tuple(
-                (pinf[k] if k < len(pinf) else Fraction(0))
-                - (exc[k] if k < len(exc) else Fraction(0))
+                (pinf[k] if k < len(pinf) else Fraction(0)) - exc[k]
                 for k in range(length)
             )
             if any(vals):
@@ -420,14 +431,16 @@ def is_coboundary(p: PrinHom) -> bool:
     return reduce_class(p).is_zero
 
 
-def _lift_entry(g: RatFunc, inf_target: Coeffs, twist: int, tag: str = "") -> RatFunc:
+def _lift_entry(
+    g: RatFunc, exc: Sequence[Fraction], inf_target: Coeffs, twist: int, tag: str = ""
+) -> RatFunc:
     """Canonical rational function with the finite tails of g (g must be
-    a pure sum of finite tails) and the given tail at infinity.
+    a pure sum of finite tails, whose tail at infinity is exc) and the
+    given tail at infinity.
 
     The residual at infinity order k is matched by the monomial z^(k+t);
     orders with k + t < 0 would need a pole at 0 and are obstructions.
     """
-    exc = _infinity_excess(g, twist)
     kmax = max(len(inf_target), len(exc))
     out = g
     for k in range(1, kmax + 1):
@@ -440,7 +453,7 @@ def _lift_entry(g: RatFunc, inf_target: Coeffs, twist: int, tag: str = "") -> Ra
             raise NotACoboundary(
                 f"obstructed at infinity order {k} in twist {twist}{tag}"
             )
-        out = out + _zpow(k + twist) * r
+        out = out + zpow(k + twist) * r
     return out
 
 
@@ -458,6 +471,7 @@ def lift_rational(p: PrinHom) -> RatHom:
             row.append(
                 _lift_entry(
                     assembled_finite(p, i, j),
+                    _finite_excess(p, i, j),
                     p.entry(INFINITY, i, j),
                     p.twist(i, j),
                     tag=f" of entry ({i}, {j})",
@@ -575,8 +589,7 @@ def cocycle_of(p: PrinHom) -> list[list[RatFunc]]:
             t = p.twist(i, j)
             c0 = p.entry(origin, i, j)
             p0 = polar_coeffs_as_ratfunc(Fraction(0), c0) if c0 else RatFunc.zero()
-            rest = assembled_finite(p, i, j, skip=origin)
-            exc = _infinity_excess(rest, t)
+            exc = _finite_excess(p, i, j, skip=origin)
             pinf = p.entry(INFINITY, i, j)
             T = p0
             for k in range(1, max(len(pinf), len(exc)) + 1):
@@ -584,7 +597,7 @@ def cocycle_of(p: PrinHom) -> list[list[RatFunc]]:
                 have = exc[k - 1] if k <= len(exc) else Fraction(0)
                 r = want - have
                 if r != 0:
-                    T = T - _zpow(k + t) * r
+                    T = T - zpow(k + t) * r
             row.append(T)
         out.append(row)
     return out

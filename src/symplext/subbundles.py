@@ -759,17 +759,37 @@ def _tails(bounds: SearchBounds):
     )
 
 
+def _defect_system(ext: ExtensionData, sign: int, chosen) -> PrinHom:
+    """Defect system holding each ((point, i, j), tail) pair of chosen in
+    entry (i, j) and its partner in (j, i): the same tail for sign -1,
+    its negative for sign 1."""
+    n = ext.rank
+    parts: dict[PointP1, list[list[tuple[Fraction, ...]]]] = {}
+    for (pt, i, j), tail in chosen:
+        if not any(tail):
+            continue
+        if pt not in parts:
+            parts[pt] = [[() for _ in range(n)] for _ in range(n)]
+        parts[pt][i][j] = tail
+        if i != j:
+            parts[pt][j][i] = tail if sign == -1 else tuple(-x for x in tail)
+    return PrinHom(ext.f_frame, ext.e_frame, parts)
+
+
 def search_lagrangian(
     se: _StructuredExtension, bounds: SearchBounds
 ) -> list[GraphSubbundle]:
     """Enumerate defect systems q of the structure's symmetry type
     ([q] = [p], symmetric for symplectic, antisymmetric for orthogonal)
     over the finite bounds, and return the isotropic graph subbundles
-    they cut out, in enumeration order, up to the cap."""
+    they cut out, in enumeration order, up to the cap.
+
+    The class map is linear, so [q] is the sum of the classes of its
+    slot tails: those are reduced once, and q itself is built only for
+    the candidates whose sum is [p]."""
     ext = se.ext
     n = ext.rank
     sign = -1 if se.kind == "symplectic" else 1
-    cls_p = ext.extension_class()
     slots = []
     for pt in bounds.points:
         for i in range(n):
@@ -778,21 +798,30 @@ def search_lagrangian(
                     continue
                 slots.append((pt, i, j))
     tails = _tails(bounds)
+    slot_classes = [
+        [
+            reduce_class(_defect_system(ext, sign, [(slot, tail)])).vector()
+            for tail in tails
+        ]
+        for slot in slots
+    ]
+    target = ext.extension_class().vector()
+    # integer sums over a common denominator are exact and much cheaper
+    vecs = [v for classes in slot_classes for v in classes] + [target]
+    den = math.lcm(*(x.denominator for v in vecs for x in v))
+    slot_classes = [
+        [tuple(int(x * den) for x in v) for v in classes] for classes in slot_classes
+    ]
+    target = tuple(int(x * den) for x in target)
+    zero = (0,) * len(target)  # the sum when there are no slots (rank-1 orthogonal)
     out: list[GraphSubbundle] = []
     for choice in itertools.product(range(len(tails)), repeat=len(slots)):
-        parts: dict[PointP1, list[list[tuple[Fraction, ...]]]] = {}
-        for (pt, i, j), t in zip(slots, choice):
-            tail = tails[t]
-            if not any(tail):
-                continue
-            if pt not in parts:
-                parts[pt] = [[() for _ in range(n)] for _ in range(n)]
-            parts[pt][i][j] = tail
-            if i != j:
-                parts[pt][j][i] = tail if sign == -1 else tuple(-x for x in tail)
-        q = PrinHom(ext.f_frame, ext.e_frame, parts)
-        if reduce_class(q) != cls_p:
+        chosen = (classes[t] for classes, t in zip(slot_classes, choice))
+        if tuple(map(sum, zip(zero, *chosen))) != target:
             continue
+        q = _defect_system(
+            ext, sign, [(slot, tails[t]) for slot, t in zip(slots, choice)]
+        )
         beta = lift_rational(ext.p - q)
         G = graph_subbundle(ext, beta)
         if not isotropy_direct(se, G):

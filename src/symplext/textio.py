@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bundles import RatHom, dual_frame
-from .errors import ParseError
+from .errors import FrameMismatch, ParseError
 from .prinparts import CohClass, PrinHom
 from .ratfield import (
     PointP1,
@@ -443,7 +443,7 @@ class _Builder:
                 _fail(self.scalar_lines[k], f"unrecognized key {k!r}")
         try:
             return SearchBounds(pts, order, values, cap)
-        except ValueError as exc:
+        except FrameMismatch as exc:
             raise ParseError(f"invalid bounds: {exc}")
 
     def _build_result(self, idx: int) -> ResultRecord:

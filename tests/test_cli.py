@@ -1,6 +1,9 @@
 """Command-line behavior: verdicts, exit codes, machine output."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -271,6 +274,14 @@ def test_search_bounds_flag_overrides(tmp_path, capsys):
     assert len(parse_document(out).results) == 2
 
 
+@pytest.mark.parametrize("bounds", ["points=0;order=0", "points=0;cap=0"])
+def test_search_bounds_out_of_range(tmp_path, capsys, bounds):
+    f = write(tmp_path, RANK1_GENERATOR)
+    code, _, err = run(capsys, ["search", "--bounds", bounds, f])
+    assert code == 2
+    assert "invalid bounds" in err
+
+
 def test_search_empty(tmp_path, capsys):
     text = (
         "format: symplext/1\nE: -1\nL: 0\np[2; 1,1]: 2\n"
@@ -330,3 +341,24 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0
     assert "all invariant suites passed" in out
+
+
+def test_selftest_fails_on_a_wrong_class_map_under_optimize():
+    # python -O strips assert statements; the suites must not rely on them
+    code = (
+        "import sys, symplext.cli as c\n"
+        "from symplext.prinparts import CohClass\n"
+        "c.reduce_class = lambda p: CohClass.zero(p.src, p.dst)\n"
+        "sys.exit(c.cmd_selftest(None))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL class reduction identities" in proc.stdout
+    assert "all invariant suites passed" not in proc.stdout

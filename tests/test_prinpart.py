@@ -26,7 +26,14 @@ from symplext.prinparts import (
     reduce_class,
     transpose_prin,
 )
-from symplext.ratfield import INFINITY, PointP1, Poly, RatFunc
+from symplext.ratfield import (
+    INFINITY,
+    PointP1,
+    Poly,
+    RatFunc,
+    polar_coeffs_as_ratfunc,
+    zpow,
+)
 
 P0 = PointP1.finite(0)
 P1 = PointP1.finite(1)
@@ -209,3 +216,84 @@ def test_cohclass_canonical_lengths():
     assert class_dim((2,), (-1,)) == 2
     with pytest.raises(Exception):
         CohClass((2,), (-1,), {(0, 0): (1, 2, 3)})
+
+
+# ------------------------------------------------------------
+# Closed-form class map against assembled rational functions
+# ------------------------------------------------------------
+
+
+def _at(coeffs, k):
+    return coeffs[k - 1] if k <= len(coeffs) else Fraction(0)
+
+
+def _reference_excess(p, i, j, skip=None):
+    """Tail at infinity of the finite tails of entry (i, j): assemble them
+    as one rational function, flip it into its twist, take the polar
+    part at u = 0."""
+    total = RatFunc.zero()
+    for pt, mat in p.parts.items():
+        if not pt.is_infinity and pt != skip and mat[i][j]:
+            total = total + polar_coeffs_as_ratfunc(pt.value, mat[i][j])
+    return total.flip(p.twist(i, j)).polar0() if not total.is_zero else ()
+
+
+def _reference_class(p):
+    data = {}
+    for i in range(p.nrows):
+        for j in range(p.ncols):
+            exc = _reference_excess(p, i, j)
+            pinf = p.entry(INFINITY, i, j)
+            data[(i, j)] = [
+                _at(pinf, k) - _at(exc, k) for k in range(1, -p.twist(i, j))
+            ]
+    return CohClass(p.src, p.dst, data)
+
+
+def _reference_cocycle(p):
+    out = []
+    for i in range(p.nrows):
+        row = []
+        for j in range(p.ncols):
+            c0 = p.entry(P0, i, j)
+            T = polar_coeffs_as_ratfunc(Fraction(0), c0) if c0 else RatFunc.zero()
+            exc = _reference_excess(p, i, j, skip=P0)
+            pinf = p.entry(INFINITY, i, j)
+            for k in range(1, max(len(pinf), len(exc)) + 1):
+                T = T - zpow(k + p.twist(i, j)) * (_at(pinf, k) - _at(exc, k))
+            row.append(T)
+        out.append(row)
+    return out
+
+
+def _random_frames(rng, rank):
+    return (
+        tuple(rng.randint(-1, 3) for _ in range(rank)),
+        tuple(rng.randint(-3, 1) for _ in range(rank)),
+    )
+
+
+def _other_points(rng):
+    """Up to two finite points other than 0."""
+    pool = [pt for pt in sampling.POINT_POOL if pt != P0]
+    return sampling.points(rng, rng.randint(0, 2), pool=pool)
+
+
+def test_closed_form_class_matches_assembled_reference():
+    rng = random.Random(41)
+    for case in range(120):
+        src, dst = _random_frames(rng, 1 + case % 4)
+        pts = [P0, INFINITY] + _other_points(rng)
+        p = sampling.prinhom(rng, src, dst, pts=pts, max_order=3)
+        assert reduce_class(p) == _reference_class(p)
+        assert cocycle_of(p) == _reference_cocycle(p)
+
+
+def test_closed_form_lift_inverts_prin_of_on_coboundaries():
+    rng = random.Random(43)
+    for case in range(60):
+        src, dst = _random_frames(rng, 1 + case % 4)
+        pts = [P0] + _other_points(rng)
+        p = sampling.coboundary_prinhom(rng, src, dst, pts=pts, max_order=3)
+        assert reduce_class(p).is_zero
+        assert prin_of(lift_rational(p)) == p

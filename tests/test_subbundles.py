@@ -1,6 +1,7 @@
 """Graph subbundles, their invariants, isotropy, and the finite search."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,8 +16,15 @@ from symplext.errors import (
     HypothesisUnmetWarning,
     VerticalIntersection,
 )
-from symplext.forms import ExtensionData, check_symplectic
-from symplext.prinparts import PrinHom, prin_of, prin_length, reduce_class, transpose_prin
+from symplext.forms import ExtensionData, check_orthogonal, check_symplectic
+from symplext.prinparts import (
+    PrinHom,
+    lift_rational,
+    prin_of,
+    prin_length,
+    reduce_class,
+    transpose_prin,
+)
 from symplext.ratfield import INFINITY, PointP1, Poly, RatFunc
 from symplext.subbundles import (
     SearchBounds,
@@ -425,6 +433,94 @@ def test_search_symmetric_class_nonempty():
     for G in out:
         assert isotropy_direct(se, G)
         assert reduce_class(G.q) == ext.extension_class()
+
+
+def _search_by_rejection(se, bounds):
+    """Generate every candidate q, reduce its class, and keep the graphs
+    of those with [q] = [p] that are isotropic, up to the cap."""
+    ext, n = se.ext, se.ext.rank
+    sign = -1 if se.kind == "symplectic" else 1
+    slots = [
+        (pt, i, j)
+        for pt in bounds.points
+        for i in range(n)
+        for j in range(i, n)
+        if not (i == j and se.kind == "orthogonal")
+    ]
+    tails = list(itertools.product(bounds.values, repeat=bounds.max_order))
+    out = []
+    for choice in itertools.product(tails, repeat=len(slots)):
+        parts = {}
+        for (pt, i, j), tail in zip(slots, choice):
+            if not any(tail):
+                continue
+            mat = parts.setdefault(pt, [[() for _ in range(n)] for _ in range(n)])
+            mat[i][j] = tail
+            if i != j:
+                mat[j][i] = tail if sign == -1 else tuple(-x for x in tail)
+        q = PrinHom(ext.f_frame, ext.e_frame, parts)
+        if reduce_class(q) != ext.extension_class():
+            continue
+        G = graph_subbundle(ext, lift_rational(ext.p - q))
+        if isotropy_direct(se, G):
+            out.append(G)
+            if len(out) >= bounds.cap:
+                break
+    return out
+
+
+PH = PointP1.finite(Fraction(1, 2))
+ONES3 = [[(1,)] * 3 for _ in range(3)]
+
+
+# every case has more hits than its cap, and none of the value pools
+# starts at 0
+@pytest.mark.parametrize(
+    "degrees, parts, check, bounds",
+    [
+        # the point 1/2 gives slot classes with denominators
+        (
+            (-1, -2),
+            {P0: [[(), (1,)], [(1,), ()]]},
+            check_symplectic,
+            SearchBounds((PH, P0, P1), 1, (1, 0, -1), cap=4),
+        ),
+        (
+            (-1, -2),
+            {P0: [[(), (1,)], [(-1,), ()]]},
+            check_orthogonal,
+            SearchBounds((PH, INFINITY), 2, (1, 0, -1), cap=2),
+        ),
+        (
+            (-1, -1, -1),
+            {P2: ONES3},
+            check_symplectic,
+            SearchBounds((P0, INFINITY), 1, (1, 0, -1), cap=2),
+        ),
+        (
+            (-1, -1, -2),
+            {P1: [[(), (), (1,)], [(), (), ()], [(-1,), (), ()]]},
+            check_orthogonal,
+            SearchBounds((P1, INFINITY), 1, (1, 0, -1), cap=2),
+        ),
+    ],
+    ids=["rank2-symplectic", "rank2-orthogonal", "rank3-symplectic", "rank3-orthogonal"],
+)
+def test_search_matches_generate_and_reject(degrees, parts, check, bounds):
+    se = check(make_ext(degrees, parts=parts))
+    out = search_lagrangian(se, bounds)
+    ref = _search_by_rejection(se, bounds)
+    assert len(out) == bounds.cap
+    assert [G.q for G in out] == [G.q for G in ref]
+    assert [G.beta for G in out] == [G.beta for G in ref]
+    assert [G.splitting for G in out] == [G.splitting for G in ref]
+
+
+def test_search_rank_one_orthogonal_has_no_slots():
+    # no off-diagonal entries: the only candidate is q = 0
+    se = check_orthogonal(make_ext((-2,)))
+    out = search_lagrangian(se, SearchBounds(points=(P0, P1)))
+    assert [G.q for G in out] == [PrinHom.zero((2,), (-2,))]
 
 
 def test_search_respects_cap():

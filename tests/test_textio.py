@@ -129,6 +129,13 @@ def test_bounds_and_flags():
     assert doc.tests == {"prin": True, "linear": True, "direct": False}
 
 
+@pytest.mark.parametrize("line", ["bounds.order: 0", "bounds.cap: 0"])
+def test_bounds_out_of_range_is_a_parse_error(line):
+    text = f"format: symplext/1\nE: -1\nL: 0\nbounds.points: 0\n{line}\n"
+    with pytest.raises(ParseError, match="invalid bounds"):
+        parse_document(text)
+
+
 def test_class_lines():
     text = (
         "format: symplext/1\nE: -1\nL: 0\n"
