@@ -39,7 +39,6 @@ from .errors import (
     SymplextError,
     UnsupportedPoleField,
     VerticalIntersection,
-    WindowTooSmall,
     ZeroDenominator,
     ZeroFunction,
 )

@@ -1,45 +1,59 @@
-"""Small exact linear algebra kernels: RREF/rank/nullspace over Q, generic
-field elimination usable with RatFunc entries, and a column Hermite form
-over Q[z] for lattice bases.  Internal module."""
+"""Small exact linear algebra kernels: one Gauss-Jordan elimination over
+a field (Fraction or RatFunc entries) behind rref, rank and nullspace,
+and one Euclidean column reduction over Q[z] behind the Hermite form and
+the kernel of polynomial matrices.  Internal module."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfield import Poly
+from .ratfield import Poly, RatFunc
 
 
-# ---------------- matrices over Q ----------------
+# ---------------- elimination over a field ----------------
+
+
+def _field_rows(rows):
+    # a copy in which ints become Fractions, so that division stays exact
+    return [
+        [x if isinstance(x, (Fraction, RatFunc)) else Fraction(x) for x in r]
+        for r in rows
+    ]
+
+
+def _gauss_jordan(rows, reduced: bool = True) -> list[int]:
+    """Eliminate in place and return the pivot columns.  Entries are
+    field elements whose zero is falsy.  Pivot rows are scaled to 1 and
+    moved to the top; with reduced=False only the rows below a pivot are
+    cleared (echelon form, enough for the rank)."""
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        prow = rows[r] = [x / piv for x in rows[r]]
+        for i in range(0 if reduced else r + 1, len(rows)):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + [[Fraction(0)] * ncols for _ in range(len(rows) - r)], pivots
+    rows = _field_rows(rows)
+    return rows, _gauss_jordan(rows)
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(_gauss_jordan(_field_rows(rows), reduced=False))
 
 
 def nullspace(rows, ncols: int):
@@ -98,89 +112,26 @@ def mat_identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def field_det(A, zero, one):
-    """Determinant by fraction-free-enough Gaussian elimination over a
-    field whose elements support +,-,*,/ and truthiness (zero is falsy)."""
-    n = len(A)
-    M = [list(r) for r in A]
-    det = one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if M[i][c]), None)
-        if pr is None:
-            return zero
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            det = -det
-        det = det * M[c][c]
-        inv = one / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return det
+# ---------------- column reduction over Q[z] ----------------
 
 
-def field_nullspace(A, ncols, zero, one):
-    """Right-kernel basis over a generic field (same contract as nullspace)."""
-    M = [list(r) for r in A]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = one / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for rr, pc in enumerate(pivots):
-            v[pc] = zero - M[rr][fc]
-        basis.append(v)
-    return basis
+def _sub_multiple(col, q, piv):
+    # col -= q * piv, in place
+    col[:] = [a - q * b for a, b in zip(col, piv)]
 
 
-def field_solve(A, b, zero, one):
-    """One solution x of A x = b over a generic field, or None."""
-    n = len(A)
-    m = len(A[0]) if A else 0
-    M = [list(r) + [bb] for r, bb in zip(A, b)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = one / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b2 for a, b2 in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if M[i][m]:
-            return None
-    x = [zero] * m
-    for rr, pc in enumerate(pivots):
-        x[pc] = M[rr][m]
-    return x
-
-
-# ---------------- column Hermite form over Q[z] ----------------
+def _euclid_row(cols, row: int):
+    """Unimodular column operations on cols (lists of Poly) until at most
+    one of them is nonzero in the given row; returns that column (its
+    entry there is the gcd of the row) or None."""
+    active = [c for c in cols if not c[row].is_zero]
+    while len(active) > 1:
+        active.sort(key=lambda c: c[row].degree)
+        small = active[0]
+        for c in active[1:]:
+            _sub_multiple(c, c[row] // small[row], small)
+        active = [c for c in cols if not c[row].is_zero]
+    return active[0] if active else None
 
 
 def poly_hnf(columns, nrows: int):
@@ -192,30 +143,17 @@ def poly_hnf(columns, nrows: int):
     cols = [list(c) for c in columns if any(not p.is_zero for p in c)]
     basis = []
     for row in range(nrows):
-        active = [c for c in cols if not c[row].is_zero]
-        if not active:
+        piv = _euclid_row(cols, row)
+        if piv is None:
             continue
-        # Euclidean reduction until one column carries gcd in this row
-        while len(active) > 1:
-            active.sort(key=lambda c: c[row].degree)
-            small = active[0]
-            for c in active[1:]:
-                q = c[row] // small[row]
-                for i in range(nrows):
-                    c[i] = c[i] - q * small[i]
-            active = [c for c in cols if not c[row].is_zero]
-        piv = active[0]
         lc = piv[row].lead
         if lc != 1:
-            for i in range(nrows):
-                piv[i] = piv[i].scale(1 / lc)
+            piv[:] = [p.scale(1 / lc) for p in piv]
         cols = [c for c in cols if c is not piv and any(not p.is_zero for p in c)]
         # reduce this row in earlier pivot columns for determinism
         for b in basis:
             if b[row].degree >= piv[row].degree:
-                q = b[row] // piv[row]
-                for i in range(nrows):
-                    b[i] = b[i] - q * piv[i]
+                _sub_multiple(b, b[row] // piv[row], piv)
         basis.append(piv)
     return basis
 
@@ -229,26 +167,15 @@ def poly_kernel(B, ncols: int):
     nrows = len(B)
     if ncols == 0 or nrows == 0:
         return []
-    some = B[0][0]
-    one, zero = some.one(), some.zero()
+    one, zero = Poly.one(), Poly.zero()
     full = [
         [B[i][j] for i in range(nrows)]
         + [one if k == j else zero for k in range(ncols)]
         for j in range(ncols)
     ]
-    total = nrows + ncols
     for row in range(nrows):
-        active = [c for c in full if not c[row].is_zero]
-        while len(active) > 1:
-            active.sort(key=lambda c: c[row].degree)
-            small = active[0]
-            for c in active[1:]:
-                q = c[row] // small[row]
-                for i in range(total):
-                    c[i] = c[i] - q * small[i]
-            active = [c for c in full if not c[row].is_zero]
-        if active:
-            piv = active[0]
+        piv = _euclid_row(full, row)
+        if piv is not None:
             full = [c for c in full if c is not piv]
     kernel = []
     for c in full:

@@ -13,7 +13,6 @@ Exit codes: 0 affirmative, 1 negative verdict, 2 input error,
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from fractions import Fraction
@@ -32,7 +31,6 @@ from .errors import (
     ParseError,
     UnsupportedPoleField,
     VerticalIntersection,
-    WindowTooSmall,
     ZeroDenominator,
 )
 from .forms import (
@@ -72,8 +70,6 @@ from .textio import (
     _prin_lines,
 )
 
-WINDOW_ENV = "SYMPLEXT_WINDOW"
-
 
 # ============================================================
 # Input plumbing
@@ -96,18 +92,6 @@ def _extension_of(doc: Document) -> ExtensionData:
 def _kind_of(args, doc: Document) -> str:
     kind = getattr(args, "kind", None) or doc.kind or "symplectic"
     return kind
-
-
-def _window_of(args) -> int:
-    if getattr(args, "window", None) is not None:
-        return args.window
-    raw = os.environ.get(WINDOW_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{WINDOW_ENV} must be an integer, got {raw!r}")
 
 
 def _parse_bounds_flag(text: str) -> SearchBounds:
@@ -186,6 +170,15 @@ def _emit(args, doc: Document, human: list[str]) -> None:
             print(line)
 
 
+def _no_structure(args, ext: ExtensionData, kind: str) -> int:
+    _emit(
+        args,
+        Document(kind=kind, e_frame=ext.e_frame, ell=ext.ell, structure=False),
+        ["no structure for this representative"],
+    )
+    return 1
+
+
 # ============================================================
 # Commands
 # ============================================================
@@ -223,12 +216,7 @@ def cmd_check_structure(args) -> int:
     kind = _kind_of(args, doc)
     se = _structure_of(ext, kind)
     if se is None:
-        _emit(
-            args,
-            Document(kind=kind, e_frame=ext.e_frame, ell=ext.ell, structure=False),
-            ["no structure for this representative"],
-        )
-        return 1
+        return _no_structure(args, ext, kind)
     out = Document(
         kind=kind,
         e_frame=ext.e_frame,
@@ -245,7 +233,7 @@ def cmd_subbundle(args) -> int:
     doc = _read_document(args.file)
     ext = _extension_of(doc)
     beta, q = _beta_and_q(doc, ext)
-    G = graph_subbundle(ext, beta, _window_of(args))
+    G = graph_subbundle(ext, beta)
     regular = regularity_check(G)
     out = Document(
         e_frame=ext.e_frame,
@@ -273,14 +261,9 @@ def cmd_isotropy(args) -> int:
     kind = _kind_of(args, doc)
     se = _structure_of(ext, kind)
     if se is None:
-        _emit(
-            args,
-            Document(kind=kind, e_frame=ext.e_frame, ell=ext.ell, structure=False),
-            ["no structure for this representative"],
-        )
-        return 1
+        return _no_structure(args, ext, kind)
     beta, q = _beta_and_q(doc, ext)
-    G = graph_subbundle(ext, beta, _window_of(args))
+    G = graph_subbundle(ext, beta)
     tests = {
         "prin": isotropy_prin(q, kind),
         "linear": isotropy_linear(beta, se.alpha, kind),
@@ -315,12 +298,7 @@ def cmd_search(args) -> int:
     kind = _kind_of(args, doc)
     se = _structure_of(ext, kind)
     if se is None:
-        _emit(
-            args,
-            Document(kind=kind, e_frame=ext.e_frame, ell=ext.ell, structure=False),
-            ["no structure for this representative"],
-        )
-        return 1
+        return _no_structure(args, ext, kind)
     bounds = _bounds_of(args, doc)
     found = search_lagrangian(se, bounds)
     found = sorted(found, key=lambda G: "\n".join(_prin_lines("q", G.q)))
@@ -331,10 +309,11 @@ def cmd_search(args) -> int:
             for name, ok in (
                 ("prin", isotropy_prin(G.q, kind)),
                 ("linear", isotropy_linear(G.beta, se.alpha, kind)),
-                ("direct", isotropy_direct(se, G)),
             )
             if ok
         )
+        # search_lagrangian keeps only graphs that pass isotropy_direct
+        certs += ("direct",)
         records.append(
             ResultRecord(
                 beta=G.beta,
@@ -533,14 +512,6 @@ def _add_machine(sp):
     )
 
 
-def _add_window(sp):
-    sp.add_argument(
-        "--window",
-        type=int,
-        help=f"extra twist range for splitting inversion (default ${WINDOW_ENV} or 0)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symplext",
@@ -572,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_file(sp)
     _add_machine(sp)
-    _add_window(sp)
     sp.set_defaults(func=cmd_subbundle)
 
     sp = sub.add_parser(
@@ -581,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_file(sp)
     _add_kind(sp)
     _add_machine(sp)
-    _add_window(sp)
     sp.set_defaults(func=cmd_isotropy)
 
     sp = sub.add_parser(
@@ -622,7 +591,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         NotACochain,
         NotAFormCochain,
         VerticalIntersection,
-        WindowTooSmall,
         ZeroDenominator,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

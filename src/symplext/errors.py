@@ -15,7 +15,6 @@ __all__ = [
     "DegenerateB",
     "IsotropyViolation",
     "VerticalIntersection",
-    "WindowTooSmall",
     "HypothesisUnmet",
     "ClassMismatch",
     "ParseError",
@@ -73,10 +72,6 @@ class IsotropyViolation(SymplextError):
 class VerticalIntersection(SymplextError):
     """A lattice meets the zero-section-complement degenerately: its
     projection to the second factor is singular, so it is no graph."""
-
-
-class WindowTooSmall(SymplextError):
-    """A section-count profile window did not stabilize even after widening."""
 
 
 class HypothesisUnmet(SymplextError):

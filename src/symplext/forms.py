@@ -20,6 +20,7 @@ endomorphism B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -122,6 +123,11 @@ class ExtensionData:
     def s_zero(self) -> RatHom:
         """Rational realization of the finite tails of p (the chart-0
         splitting)."""
+        return self._s_zero
+
+    @cached_property
+    def _s_zero(self) -> RatHom:
+        # s_infinity and every graph built in this extension reuse it
         return RatHom(
             self.f_frame,
             self.e_frame,
@@ -288,8 +294,7 @@ def gram_matrix(se: _StructuredExtension) -> Matrix:
 
 
 def gram_nondegenerate(se: _StructuredExtension) -> bool:
-    d = la.field_det(gram_matrix(se), RatFunc.zero(), RatFunc.one())
-    return not d.is_zero
+    return la.rank(gram_matrix(se)) == 2 * se.ext.rank
 
 
 # ============================================================
@@ -456,10 +461,10 @@ def _w_matrix(trans: TransitionData) -> Matrix:
     return out
 
 
-def _conjugate_to_infinity(theta0: Matrix, trans: TransitionData) -> Matrix:
+def _conjugate_to_infinity(chart0: Matrix, trans: TransitionData) -> Matrix:
     w = _w_matrix(trans)
     linv = zpow(-trans.ell)
-    prod = la.mat_mul(la.mat_transpose(w), la.mat_mul(theta0, w))
+    prod = la.mat_mul(la.mat_transpose(w), la.mat_mul(chart0, w))
     return la.mat_scale(prod, linv)
 
 
@@ -483,7 +488,7 @@ def class_from_form(fc: FormCochain) -> tuple[CohClass, tuple[tuple[RatFunc, ...
     """
     trans = fc.trans
     n = trans.rank
-    zero, one = RatFunc.zero(), RatFunc.one()
+    zero = RatFunc.zero()
     t0 = [list(r) for r in fc.theta0]
     ti = [list(r) for r in fc.thetainf]
     if len(t0) != 2 * n or any(len(r) != 2 * n for r in t0):
@@ -524,7 +529,7 @@ def class_from_form(fc: FormCochain) -> tuple[CohClass, tuple[tuple[RatFunc, ...
         for j in range(n):
             if binf[i][j] != zpow(ds[i] - ds[j]) * b0[i][j]:
                 raise NotAFormCochain("glueing block fails to intertwine")
-    if la.field_det(b0, zero, one).is_zero:
+    if la.rank(b0) < n:
         raise DegenerateB("glueing block is singular")
     ff = dual_frame(ds, trans.ell)
     if trans.delta is None:

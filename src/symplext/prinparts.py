@@ -224,12 +224,12 @@ def prin_of(phi: RatHom) -> PrinHom:
     return PrinHom(phi.src, phi.dst, parts)
 
 
-def assembled_finite(p: PrinHom, i: int, j: int, skip: PointP1 | None = None) -> RatFunc:
+def assembled_finite(p: PrinHom, i: int, j: int) -> RatFunc:
     """Sum of the finite polar tails of entry (i, j) as a rational
-    function (optionally skipping one point)."""
+    function."""
     total = RatFunc.zero()
     for pt, mat in p.parts.items():
-        if pt.is_infinity or pt == skip:
+        if pt.is_infinity:
             continue
         coeffs = mat[i][j]
         if coeffs:

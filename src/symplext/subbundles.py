@@ -27,13 +27,10 @@ from .errors import (
     HypothesisUnmetWarning,
     InternalLiftFailure,
     VerticalIntersection,
-    WindowTooSmall,
 )
 from .forms import ExtensionData, RatSectionW, _StructuredExtension
 from .prinparts import (
     PrinHom,
-    assembled_finite,
-    cocycle_of,
     lift_rational,
     local_condition_matrix,
     prin_length,
@@ -248,17 +245,13 @@ def _u_chart_conditions(q: PrinHom) -> tuple[JetCondition, ...]:
     return _conditions_of(qhat)
 
 
-def graph_subbundle(
-    ext: ExtensionData, beta: RatHom, window: int = 0
-) -> GraphSubbundle:
+def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     """Graph closure of a rational map beta : F -> E inside W.
 
     Solves the jet systems of q = p - prin_of(beta) at each support
     point, assembles module bases of the kernel sheaf over both charts
     (lifted to W by f |-> (beta f, f), stored in the chart
-    trivializations), and computes splitting type and degree.  window
-    widens the twist range scanned when inverting the section-count
-    profile; the default suffices for every subsheaf of F.
+    trivializations), and computes splitting type and degree.
     """
     if beta.src != ext.f_frame or beta.dst != ext.e_frame:
         raise FrameMismatch("beta must map the dual frame to E")
@@ -296,8 +289,8 @@ def graph_subbundle(
             + tuple(col)
         )
     degree = sum(ext.f_frame) - prin_length(q)
-    splitting = _invert_profile(ext.f_frame, conditions, degree, window)
-    if sum(splitting) != degree:
+    splitting = _invert_profile(ext.f_frame, conditions, degree)
+    if len(splitting) != n or sum(splitting) != degree:
         raise InternalLiftFailure("splitting type disagrees with degree")
     return GraphSubbundle(
         beta=beta,
@@ -359,43 +352,31 @@ def _h0_from_data(
 
 
 def _invert_profile(
-    f_frame: Sequence[int],
-    conditions: Sequence[JetCondition],
-    degree: int,
-    window: int = 0,
+    f_frame: Sequence[int], conditions: Sequence[JetCondition], degree: int
 ) -> tuple[int, ...]:
     """Recover the splitting (a_1 >= ... >= a_n) from the h^0 profile:
-    h(m) - h(m-1) counts the a_i >= -m."""
+    h(m) - h(m-1) counts the a_i >= -m.  The scan over m needs no guess:
+    every a_i <= max f because G sits in F = sum O(f_j), and every
+    a_i >= degree - (n-1) max f because the a_i sum to the degree."""
     n = len(f_frame)
     fmax = max(f_frame)
-    for attempt in range(4):
-        extra = window + 8 * attempt
-        lo = -fmax - 1 - extra
-        hi = -(degree - (n - 1) * fmax) + extra
-        if hi < lo:
-            hi = lo
-        h_prev = _h0_from_data(f_frame, conditions, lo - 1)
-        found: list[int] = []
-        seen = len(found)
-        for m in range(lo, hi + 1):
-            h = _h0_from_data(f_frame, conditions, m)
-            c = h - h_prev
-            h_prev = h
-            while len(found) < c:
-                found.append(-m)
-            if len(found) == n and sum(found) == degree:
-                return tuple(found)
-        if len(found) == n and sum(found) == degree:
-            return tuple(found)
-    raise WindowTooSmall(
-        f"splitting profile did not stabilize in window [{lo}, {hi}]"
-    )
+    lo = -fmax - 1
+    hi = -(degree - (n - 1) * fmax)
+    h_prev = _h0_from_data(f_frame, conditions, lo - 1)
+    found: list[int] = []
+    for m in range(lo, hi + 1):
+        h = _h0_from_data(f_frame, conditions, m)
+        count = h - h_prev  # the a_i >= -m
+        found += [-m] * (count - len(found))
+        h_prev = h
+        if len(found) == n:
+            break
+    return tuple(found)
 
 
-def splitting_type(G: GraphSubbundle, window: int = 0) -> tuple[int, ...]:
-    """Splitting type of G recomputed from its h^0 profile; `window`
-    widens the scan range symmetrically."""
-    return _invert_profile(G.f_frame, G.conditions, G.degree, window)
+def splitting_type(G: GraphSubbundle) -> tuple[int, ...]:
+    """Splitting type of G recomputed from its h^0 profile."""
+    return _invert_profile(G.f_frame, G.conditions, G.degree)
 
 
 # ============================================================
@@ -416,21 +397,13 @@ def beta_from_subbundle(basis_0, basis_inf, ext: ExtensionData) -> RatHom:
     cols0 = [list(c) for c in basis_0]
     if len(cols0) != n or any(len(c) != 2 * n for c in cols0):
         raise FrameMismatch("chart-0 lattice must have n columns of height 2n")
-    P = [[_rf(cols0[k][i]) for k in range(n)] for i in range(n)]
-    Q = [[_rf(cols0[k][n + i]) for k in range(n)] for i in range(n)]
-    zero, one = RatFunc.zero(), RatFunc.one()
-    if la.field_det(Q, zero, one).is_zero:
-        raise VerticalIntersection(
-            "the lattice projects degenerately to F"
-        )
-    # M Q = P with M = s_0 - beta; transposing, tQ (row i of M) = row i of P
-    tQ = la.mat_transpose(Q)
-    entries = []
-    for i in range(n):
-        sol = la.field_solve(tQ, list(P[i]), zero, one)
-        if sol is None:
-            raise VerticalIntersection("the lattice projects degenerately to F")
-        entries.append(sol)
+    # M Q = P with M = s_0 - beta, so tQ tM = tP; row k of [tQ | tP] is
+    # column k of the lattice, F-part first.  One elimination shows
+    # whether Q is singular and, if not, leaves tM in the right half.
+    aug, pivots = la.rref([[_rf(x) for x in c[n:] + c[:n]] for c in cols0])
+    if pivots != list(range(n)):
+        raise VerticalIntersection("the lattice projects degenerately to F")
+    entries = [[aug[k][n + i] for k in range(n)] for i in range(n)]
     beta = ext.s_zero() - RatHom(ext.f_frame, ext.e_frame, entries)
     if basis_inf is not None:
         ahat = _beta_inf_chart(ext.s_infinity() - beta)
@@ -456,27 +429,6 @@ def _rf(x) -> RatFunc:
     return RatFunc.constant(x)
 
 
-def _chart_splittings(G: GraphSubbundle) -> tuple[RatHom, RatHom]:
-    """Rational splittings recovered from q and beta: s_0 realizes the
-    finite tails of p = q + prin_of(beta), s_inf the tails on the other
-    chart."""
-    beta = G.beta
-    n = G.rank
-    p_sys = G.q + prin_of(beta)
-    s0 = RatHom(
-        beta.src,
-        beta.dst,
-        [[assembled_finite(p_sys, i, j) for j in range(n)] for i in range(n)],
-    )
-    T = cocycle_of(p_sys)
-    sinf = RatHom(
-        beta.src,
-        beta.dst,
-        [[s0[i, j] - T[i][j] for j in range(n)] for i in range(n)],
-    )
-    return s0, sinf
-
-
 def regularity_check(G: GraphSubbundle) -> bool:
     """Everywhere-regularity of beta on the stored lattice.
 
@@ -489,8 +441,10 @@ def regularity_check(G: GraphSubbundle) -> bool:
     """
     n = G.rank
     beta = G.beta
-    s0, sinf = _chart_splittings(G)
-    a0 = s0 - beta
+    # the extension the graph was built in: p = q + prin_of(beta)
+    ell = G.e_frame[0] + G.f_frame[0]
+    ext = ExtensionData(G.e_frame, ell, G.q + prin_of(beta))
+    a0 = ext.s_zero() - beta
     for col in G.basis_0:
         fcol = [RatFunc(p) for p in col[n:]]
         xcol = a0.apply(fcol)
@@ -502,7 +456,7 @@ def regularity_check(G: GraphSubbundle) -> bool:
         ecol = beta.apply(fcol)
         if any(not v.is_polynomial for v in ecol):
             return False
-    ahat = _beta_inf_chart(sinf - beta)
+    ahat = _beta_inf_chart(ext.s_infinity() - beta)
     bhat = _beta_inf_chart(beta)
     for col in G.basis_inf:
         fcol = [RatFunc(p) for p in col[n:]]

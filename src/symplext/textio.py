@@ -90,10 +90,7 @@ class Document:
     alpha: Optional[RatHom] = None
     cohomology_class: Optional[CohClass] = None
     coboundary: Optional[bool] = None
-    theta0: Optional[tuple[tuple[RatFunc, ...], ...]] = None
-    thetainf: Optional[tuple[tuple[RatFunc, ...], ...]] = None
     bounds: Optional[SearchBounds] = None
-    window: Optional[int] = None
     structure: Optional[bool] = None
     isotropic: Optional[bool] = None
     regular: Optional[bool] = None
@@ -195,8 +192,6 @@ class _Builder:
         self.prin_zero = set()
         self.mats = {"beta": {}, "alpha": {}}
         self.mat_zero = set()
-        self.thetas = {"theta0": {}, "thetainf": {}}
-        self.theta_zero = set()
         self.class_entries = {}
         self.class_zero = False
         self.class_seen = False
@@ -232,8 +227,6 @@ class _Builder:
             self._prin_record(lineno, name, args, value)
         elif name in ("beta", "alpha"):
             self._mat_record(lineno, name, args, value)
-        elif name in ("theta0", "thetainf"):
-            self._theta_record(lineno, name, args, value)
         elif name == "class":
             self._class_record(lineno, args, value)
         elif name.startswith("test."):
@@ -251,7 +244,6 @@ class _Builder:
             "regular",
             "degree",
             "splitting",
-            "window",
             "results",
             "certificates",
         ):
@@ -300,17 +292,6 @@ class _Builder:
         if (i, j) in self.mats[name]:
             _fail(lineno, f"duplicate entry {name}[{args}]")
         self.mats[name][(i, j)] = _parse_entry_value(lineno, value)
-
-    def _theta_record(self, lineno, name, args, value):
-        if args is None:
-            if value != "0":
-                _fail(lineno, f"{name} without indices must be '{name}: 0'")
-            self.theta_zero.add(name)
-            return
-        i, j = _parse_indices(lineno, args)
-        if (i, j) in self.thetas[name]:
-            _fail(lineno, f"duplicate entry {name}[{args}]")
-        self.thetas[name][(i, j)] = _parse_entry_value(lineno, value)
 
     def _class_record(self, lineno, args, value):
         self.class_seen = True
@@ -376,22 +357,6 @@ class _Builder:
                 raise ParseError(f"{name} index ({i},{j}) exceeds rank {n}")
             rows[i - 1][j - 1] = f
         return RatHom(dual_frame(degrees, ell), degrees, rows)
-
-    def _build_theta(self, name):
-        raw = self.thetas[name]
-        if not raw and name not in self.theta_zero:
-            return None
-        degrees, _ = self._need_frames(name)
-        width = 2 * len(degrees)
-        zero = RatFunc.zero()
-        rows = [[zero for _ in range(width)] for _ in range(width)]
-        for (i, j), f in raw.items():
-            if i > width or j > width:
-                raise ParseError(
-                    f"{name} index ({i},{j}) exceeds chart width {width}"
-                )
-            rows[i - 1][j - 1] = f
-        return tuple(tuple(r) for r in rows)
 
     def _build_class(self):
         if not self.class_seen:
@@ -496,8 +461,6 @@ class _Builder:
         doc.q = self._build_prin("q")
         doc.beta = self._build_mat("beta")
         doc.alpha = self._build_mat("alpha")
-        doc.theta0 = self._build_theta("theta0")
-        doc.thetainf = self._build_theta("thetainf")
         doc.cohomology_class = self._build_class()
         doc.bounds = self._build_bounds()
         for name, attr in (
@@ -511,10 +474,6 @@ class _Builder:
                     doc, attr,
                     _parse_yesno(self.scalar_lines[name], self.scalars[name]),
                 )
-        if "window" in self.scalars:
-            doc.window = _parse_int(
-                self.scalar_lines["window"], self.scalars["window"], "window"
-            )
         if "degree" in self.scalars:
             doc.degree = _parse_int(
                 self.scalar_lines["degree"], self.scalars["degree"], "degree"
@@ -595,15 +554,6 @@ def _mat_lines(name: str, m: RatHom) -> list[str]:
     return out or [f"{name}: 0"]
 
 
-def _theta_lines(name: str, rows) -> list[str]:
-    out = []
-    for i, row in enumerate(rows):
-        for j, f in enumerate(row):
-            if not f.is_zero:
-                out.append(f"{name}[{i + 1},{j + 1}]: {ratfunc_text(f)}")
-    return out or [f"{name}: 0"]
-
-
 def _class_lines(cls: CohClass) -> list[str]:
     if cls.is_zero:
         return ["class: 0"]
@@ -645,10 +595,6 @@ def serialize_document(doc: Document, header: bool = True) -> str:
         lines.append(f"coboundary: {_yesno(doc.coboundary)}")
     if doc.structure is not None:
         lines.append(f"structure: {_yesno(doc.structure)}")
-    if doc.theta0 is not None:
-        lines += _theta_lines("theta0", doc.theta0)
-    if doc.thetainf is not None:
-        lines += _theta_lines("thetainf", doc.thetainf)
     for test in _CERTS:
         if test in doc.tests:
             lines.append(f"test.{test}: {_yesno(doc.tests[test])}")
@@ -670,8 +616,6 @@ def serialize_document(doc: Document, header: bool = True) -> str:
             "bounds.values: " + " ".join(frac_text(v) for v in b.values)
         )
         lines.append(f"bounds.cap: {b.cap}")
-    if doc.window is not None:
-        lines.append(f"window: {doc.window}")
     if doc.results:
         lines.append(f"results: {len(doc.results)}")
         for k, rec in enumerate(doc.results, 1):

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import symplext.cli as cli
+import symplext.subbundles as sb
 from symplext.cli import main
 from symplext.ratfield import PointP1
 from symplext.textio import parse_document
@@ -274,6 +276,32 @@ def test_search_bounds_flag_overrides(tmp_path, capsys):
     assert len(parse_document(out).results) == 2
 
 
+def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
+    # search_lagrangian already ran isotropy_direct on every hit; the
+    # certificates must not run it again
+    calls = {"graphs": 0, "direct": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    direct = counting("direct", sb.isotropy_direct)
+    monkeypatch.setattr(sb, "isotropy_direct", direct)
+    monkeypatch.setattr(cli, "isotropy_direct", direct)
+    monkeypatch.setattr(sb, "graph_subbundle", counting("graphs", sb.graph_subbundle))
+    text = RANK2_SYMMETRIC + (
+        "bounds.points: 0 1\nbounds.order: 1\nbounds.values: 0 1 -1\n"
+    )
+    f = write(tmp_path, text)
+    code, out, _ = run(capsys, ["search", "--machine", f])
+    assert code == 0
+    assert len(parse_document(out).results) == calls["graphs"] > 0
+    assert calls["direct"] == calls["graphs"]
+
+
 @pytest.mark.parametrize("bounds", ["points=0;order=0", "points=0;cap=0"])
 def test_search_bounds_out_of_range(tmp_path, capsys, bounds):
     f = write(tmp_path, RANK1_GENERATOR)
@@ -322,19 +350,14 @@ def test_irrational_pole_reported(tmp_path, capsys):
     assert "unsupported" in err
 
 
-def test_window_env_invalid(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMPLEXT_WINDOW", "wide")
-    f = write(tmp_path, RANK1_SUBBUNDLE)
-    code, _, err = run(capsys, ["subbundle", f])
-    assert code == 2
-
-
-def test_window_env_valid(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMPLEXT_WINDOW", "2")
-    f = write(tmp_path, RANK1_SUBBUNDLE)
-    code, out, _ = run(capsys, ["subbundle", f])
-    assert code == 0
-    assert "degree: -1" in out
+@pytest.mark.parametrize("command", ["subbundle", "isotropy"])
+def test_window_option_is_gone(tmp_path, capsys, command):
+    # the splitting scan covers its provable range, so there is no knob
+    f = write(tmp_path, RANK1_ISOTROPY)
+    with pytest.raises(SystemExit) as exc:
+        main([command, f, "--window", "1"])
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
 
 
 def test_selftest(capsys):

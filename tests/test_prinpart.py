@@ -14,7 +14,6 @@ from symplext.prinparts import (
     CohClass,
     PrinHom,
     apply_prin,
-    assembled_finite,
     cech_class,
     class_dim,
     cocycle_of,
@@ -188,16 +187,6 @@ def test_transpose_swaps_offdiagonal():
 # ------------------------------------------------------------
 # Assembly helpers
 # ------------------------------------------------------------
-
-
-def test_assembled_finite_skips_point():
-    p = PrinHom((1,), (-1,), {P0: [[(1,)]], P1: [[(2,)]]})
-    f = assembled_finite(p, 0, 0)
-    assert f == RatFunc(Poly.one(), Poly([0, 1])) + RatFunc(
-        Poly([2]), Poly([-1, 1])
-    )
-    g = assembled_finite(p, 0, 0, skip=P0)
-    assert g == RatFunc(Poly([2]), Poly([-1, 1]))
 
 
 def test_apply_prin_single_entry():

@@ -32,7 +32,6 @@ beta[1,1]: 1/(z - 1)
 beta[1,2]: 0
 beta[2,1]: 0
 beta[2,2]: (z + 2)/(z^2 - 1)
-window: 1
 """
 
 
@@ -46,7 +45,6 @@ def test_parse_sample():
     assert doc.p.entry(INFINITY, 1, 1) == (Fraction(5),)
     assert doc.beta[0, 0] == RatFunc(Poly.one(), Poly([-1, 1]))
     assert doc.beta[1, 1] == RatFunc(Poly([2, 1]), Poly([-1, 0, 1]))
-    assert doc.window == 1
 
 
 def test_round_trip_is_exact():
@@ -219,6 +217,13 @@ def test_garbage_expression_rejected():
         parse_document("format: symplext/1\nE: -1\nL: 0\nbeta[1,1]: 1//z\n")
 
 
+@pytest.mark.parametrize("record", ["window: 1", "theta0: 0", "thetainf[1,1]: z"])
+def test_dropped_records_rejected(record):
+    # records that no command read are no longer part of the format
+    with pytest.raises(ParseError, match="unrecognized key"):
+        parse_document(f"format: symplext/1\nE: -1\nL: 0\n{record}\n")
+
+
 def test_bad_kind_rejected():
     with pytest.raises(ParseError):
         parse_document("format: symplext/1\nkind: unitary\nE: -1\nL: 0\n")
@@ -233,7 +238,6 @@ def test_serialize_full_document_round_trip():
         ell=0,
         p=PrinHom((1,), (-1,), {P0: [[(Fraction(1),)]]}),
         beta=beta,
-        window=0,
         results=[
             ResultRecord(
                 beta=beta,
