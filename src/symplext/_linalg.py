@@ -25,7 +25,8 @@ def _gauss_jordan(rows, reduced: bool = True) -> list[int]:
     """Eliminate in place and return the pivot columns.  Entries are
     field elements whose zero is falsy.  Pivot rows are scaled to 1 and
     moved to the top; with reduced=False only the rows below a pivot are
-    cleared (echelon form, enough for the rank)."""
+    cleared (echelon form, enough for the rank).  The pivot row is zero
+    left of its pivot column, so rows are updated from that column on."""
     pivots = []
     r = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -36,11 +37,11 @@ def _gauss_jordan(rows, reduced: bool = True) -> list[int]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r][c]
-        prow = rows[r] = [x / piv for x in rows[r]]
+        prow = rows[r][c:] = [x / piv for x in rows[r][c:]]
         for i in range(0 if reduced else r + 1, len(rows)):
             f = rows[i][c]
             if f and i != r:
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], prow)]
         pivots.append(c)
         r += 1
     return pivots

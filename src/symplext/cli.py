@@ -7,7 +7,8 @@ replaced by a structured-text document that parses back through
 parse_document.
 
 Exit codes: 0 affirmative, 1 negative verdict, 2 input error,
-3 unsupported input (poles outside the rational points).
+3 unsupported input (poles outside the rational points), 4 internal error
+(an inconsistency the package detected in its own results).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     NotACochain,
     NotAFormCochain,
     ParseError,
+    SymplextError,
     UnsupportedPoleField,
     VerticalIntersection,
     ZeroDenominator,
@@ -595,6 +597,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SymplextError as exc:
+        # InternalLiftFailure and the like: never exit 1, the negative verdict
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -328,6 +328,16 @@ class RatFunc:
     """Reduced fraction of polynomials; denominator monic and coprime to
     the numerator, the zero function stored as 0/1.
 
+    That canonical form is unique, so equality, hashing and printing read
+    num and den directly.  The public constructor accepts any pair and
+    normalises it, skipping the gcd only when num or den is constant.  The
+    arithmetic keeps the reducedness of its operands instead of computing
+    a gcd of the full result (Henrici's rule, Knuth TAOCP 2, 4.5.1): a sum
+    takes g = gcd(den_a, den_b) and then only gcd(t, g) for its numerator
+    t, a product cancels gcd(num_a, den_b) and gcd(num_b, den_a), and no
+    gcd with a constant operand is taken.  Negation, powers, translate and
+    flip need none: they map coprime pairs to coprime pairs.
+
     >>> f = RatFunc(Poly([-1, 0, 1]), Poly([-1, 1]))   # (z^2-1)/(z-1)
     >>> ratfunc_text(f)
     'z + 1'
@@ -342,12 +352,20 @@ class RatFunc:
             den = Poly.one()
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
+        self._store(*_cancel(num, den))
+
+    @staticmethod
+    def _coprime(num: Poly, den: Poly) -> "RatFunc":
+        """num/den for a pair already known to be coprime."""
+        f = object.__new__(RatFunc)
+        f._store(num, den)
+        return f
+
+    def _store(self, num: Poly, den: Poly):
+        # coprime num and den: only the denominator is made monic
         if num.is_zero:
             num, den = Poly.zero(), Poly.one()
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
             lc = den.lead
             if lc != 1:
                 num, den = num.scale(1 / lc), den.scale(1 / lc)
@@ -407,12 +425,23 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        (na, da), (nb, db) = (self.num, self.den), (other.num, other.den)
+        if da.degree == 0:  # da = 1
+            return RatFunc._coprime(na * db + nb, db)
+        if db.degree == 0:
+            return RatFunc._coprime(na + nb * da, da)
+        g = da.gcd(db)
+        if g.degree == 0:
+            return RatFunc._coprime(na * db + nb * da, da * db)
+        da, db = da // g, db // g
+        # t is coprime to da * db; only a factor of g can cancel
+        t, g = _cancel(na * db + nb * da, g)
+        return RatFunc._coprime(t, da * db * g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._coprime(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
         other = _coerce(other)
@@ -427,7 +456,7 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -437,7 +466,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero:
             raise ZeroDenominator("division by the zero function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other) -> "RatFunc":
         return _coerce(other) / self
@@ -445,7 +474,7 @@ class RatFunc:
     def __pow__(self, k: int) -> "RatFunc":
         if k < 0:
             return RatFunc.one() / self ** (-k)
-        return RatFunc(self.num ** k, self.den ** k)
+        return RatFunc._coprime(self.num ** k, self.den ** k)
 
     # -- evaluation, local forms, expansions -------------------------
 
@@ -461,7 +490,7 @@ class RatFunc:
         a = as_fraction(a)
         if a == 0:
             return self
-        return RatFunc(self.num.shift(a), self.den.shift(a))
+        return RatFunc._coprime(self.num.shift(a), self.den.shift(a))
 
     def flip(self, twist: int = 0) -> "RatFunc":
         """Local form at infinity: u^twist * f(1/u), as a function of u.
@@ -475,9 +504,11 @@ class RatFunc:
         dn, dd = self.num.degree, self.den.degree
         e = twist + dd - dn
         num_r, den_r = self.num.reverse(), self.den.reverse()
+        # reversed polynomials have a nonzero constant term, so they stay
+        # coprime to each other and to the power of z
         if e >= 0:
-            return RatFunc(num_r * Poly.monomial(e), den_r)
-        return RatFunc(num_r, den_r * Poly.monomial(-e))
+            return RatFunc._coprime(num_r * Poly.monomial(e), den_r)
+        return RatFunc._coprime(num_r, den_r * Poly.monomial(-e))
 
     def local_form(self, point: PointP1, twist: int = 0) -> "RatFunc":
         """Expression in the local chart at ``point`` (uniformizer at 0)."""
@@ -552,6 +583,27 @@ class RatFunc:
         if self.is_zero:
             return True
         return self.is_polynomial and self.num.degree <= twist
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by their gcd; a constant has no common factor with
+    anything, so no gcd is taken then."""
+    if a.degree <= 0 or b.degree <= 0:
+        return a, b
+    g = a.gcd(b)
+    if g.degree == 0:
+        return a, b
+    return a // g, b // g
+
+
+def _product(na: Poly, da: Poly, nb: Poly, db: Poly) -> RatFunc:
+    # (na/da) * (nb/db) for coprime pairs: only a factor of na and db, or
+    # of nb and da, can cancel
+    if na.is_zero or nb.is_zero:
+        return RatFunc.zero()
+    na, db = _cancel(na, db)
+    nb, da = _cancel(nb, da)
+    return RatFunc._coprime(na * nb, da * db)
 
 
 def _coerce(x) -> "RatFunc":
@@ -793,7 +845,11 @@ def ratfunc_text(f: RatFunc, var: str = "z") -> str:
     return f"({poly_text(f.num, var)})/({poly_text(f.den, var)})"
 
 
-_TOKEN_CHARS = set("0123456789+-*/^() \t")
+# Largest exponent the expression grammar accepts, far above the cubes
+# that problem files use.  It also bounds the exponent times the size of
+# the base (see _power_size), so nested powers such as ((z^99)^99)^99
+# cannot ask for a huge polynomial or a huge coefficient either.
+MAX_EXPONENT = 100
 
 
 def _tokenize(text: str, var: str) -> list:
@@ -808,7 +864,10 @@ def _tokenize(text: str, var: str) -> list:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(int(text[i:j]))
+            try:
+                toks.append(int(text[i:j]))
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError(f"number too long: {j - i} digits") from None
             i = j
             continue
         if ch in "+-*/^()":
@@ -827,6 +886,17 @@ def _tokenize(text: str, var: str) -> list:
             continue
         raise ParseError(f"bad character {ch!r} in expression")
     return toks
+
+
+def _power_size(f: RatFunc) -> int:
+    """Size of f as the base of a power, at least 1: its degree, or the
+    64-bit words of its longest coefficient if that is larger.  f^e has
+    about e times this size."""
+    bits = max(
+        max(c.numerator.bit_length(), c.denominator.bit_length())
+        for c in f.num.coeffs + f.den.coeffs
+    )
+    return max(1, f.num.degree, f.den.degree, bits // 64)
 
 
 class _ExprParser:
@@ -874,6 +944,12 @@ class _ExprParser:
             e = self.take()
             if not isinstance(e, int):
                 raise ParseError("exponent must be a nonnegative integer")
+            size = _power_size(base)
+            if e * size > MAX_EXPONENT:
+                raise ParseError(
+                    f"power too large: exponent {e} on a base of size {size} "
+                    f"(the product may be at most {MAX_EXPONENT})"
+                )
             return base ** e
         return base
 

@@ -127,18 +127,33 @@ def _poly_jets(f: Poly, a: Fraction, K: int) -> list[Fraction]:
     return out
 
 
+def _slot_offsets(degs: Sequence[int]) -> tuple[list[int], int]:
+    """Where each slot starts in the coefficient vector of polynomial
+    vectors with deg f_j <= degs[j] (entries < 0 mean the slot is empty),
+    and the length of that vector."""
+    offsets = []
+    pos = 0
+    for d in degs:
+        offsets.append(pos)
+        pos += max(d + 1, 0)
+    return offsets, pos
+
+
+def _divisor(conds: Sequence[JetCondition]) -> Poly:
+    """The product of (z - a)^order over finite-point jet conditions."""
+    D = Poly.one()
+    for c in conds:
+        D = D * Poly((-c.point.value, Fraction(1))) ** c.order
+    return D
+
+
 def _jet_rows_on_coeffs(cond: JetCondition, n: int, degs: list[int]) -> list[list[Fraction]]:
     """Rewrite a finite-point jet condition as rows over the coefficient
     space of polynomial vectors with deg f_j <= degs[j] (entries < 0 mean
     the slot is empty)."""
     a = cond.point.value
     K = cond.order
-    width = sum(d + 1 for d in degs if d >= 0)
-    offsets = []
-    pos = 0
-    for d in degs:
-        offsets.append(pos)
-        pos += d + 1 if d >= 0 else 0
+    offsets, width = _slot_offsets(degs)
     out = []
     for row in cond.rows:
         new = [Fraction(0)] * width
@@ -176,10 +191,8 @@ def _module_basis(n: int, conds: Sequence[JetCondition]) -> list[list[Poly]]:
             [Poly.one() if i == j else Poly.zero() for i in range(n)]
             for j in range(n)
         ]
-    degD = sum(c.order for c in conds)
-    D = Poly.one()
-    for c in conds:
-        D = D * Poly((-c.point.value, Fraction(1))) ** c.order
+    D = _divisor(conds)
+    degD = D.degree
     degs = [degD - 1] * n
     rows = []
     for c in conds:
@@ -319,14 +332,9 @@ def _h0_from_data(
 ) -> int:
     n = len(f_frame)
     degs = [f_frame[j] + m for j in range(n)]
-    width = sum(d + 1 for d in degs if d >= 0)
+    offsets, width = _slot_offsets(degs)
     if width == 0:
         return 0
-    offsets = []
-    pos = 0
-    for d in degs:
-        offsets.append(pos)
-        pos += d + 1 if d >= 0 else 0
     rows = []
     for cond in conditions:
         if cond.point.is_infinity:
@@ -596,10 +604,8 @@ def _refine_by_conditions(
     if not conds:
         return [list(c) for c in kern]
     k = len(kern)
-    degD = sum(c.order for c in conds)
-    D = Poly.one()
-    for c in conds:
-        D = D * Poly((-c.point.value, Fraction(1))) ** c.order
+    D = _divisor(conds)
+    degD = D.degree
     # coefficients of the combination vector c in k[z]^k, deg < degD
     width = k * degD
     rows = []

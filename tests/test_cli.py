@@ -10,6 +10,7 @@ import pytest
 import symplext.cli as cli
 import symplext.subbundles as sb
 from symplext.cli import main
+from symplext.errors import InternalLiftFailure
 from symplext.ratfield import PointP1
 from symplext.textio import parse_document
 
@@ -348,6 +349,20 @@ def test_irrational_pole_reported(tmp_path, capsys):
     code, _, err = run(capsys, ["subbundle", f])
     assert code == 3
     assert "unsupported" in err
+
+
+@pytest.mark.parametrize("command", ["subbundle", "isotropy"])
+def test_internal_failure_exits_4(tmp_path, capsys, monkeypatch, command):
+    # an internal inconsistency must not read as the negative verdict (1)
+    def broken(ext, beta):
+        raise InternalLiftFailure("splitting type disagrees with degree")
+
+    monkeypatch.setattr(cli, "graph_subbundle", broken)
+    f = write(tmp_path, RANK1_ISOTROPY)
+    code, out, err = run(capsys, [command, f])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: splitting type")
 
 
 @pytest.mark.parametrize("command", ["subbundle", "isotropy"])

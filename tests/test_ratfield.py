@@ -1,14 +1,17 @@
 """Field arithmetic, polar parts, and the expression grammar."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symplext._linalg import nullspace, rank, rref
 from symplext.errors import ParseError, UnsupportedPoleField, ZeroDenominator
 from symplext.ratfield import (
     INFINITY,
+    MAX_EXPONENT,
     PointP1,
     PolarPart,
     Poly,
@@ -243,3 +246,156 @@ def test_point_text_round_trip(a):
 def test_point_infinity_spellings():
     for s in ("inf", "Inf", "infinity", "oo"):
         assert parse_point(s).is_infinity
+
+
+def test_parse_exponent_limit():
+    assert parse_ratfunc(f"z^{MAX_EXPONENT}") == RatFunc(Poly.monomial(MAX_EXPONENT))
+    for bad in (
+        f"z^{MAX_EXPONENT + 1}",
+        "z^100000000",
+        "2^100000000",
+        "((z^10)^10)^10",  # nesting cannot get round the limit
+        "((9^100)^100)^100",
+        "1" * 5000,  # past the interpreter's digit limit for int()
+    ):
+        with pytest.raises(ParseError):
+            parse_ratfunc(bad)
+
+
+# ------------------------------------------------------------
+# Arithmetic without full gcds against a normalizing reference
+# ------------------------------------------------------------
+
+_FACTORS = [Poly([0, 1]), Poly([-1, 1]), Poly([2, 1]), Poly([Fraction(-1, 2), 1])]
+
+
+def _ref(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    # num/den reduced by the full gcd, then made monic: the canonical form
+    if num.is_zero:
+        return Poly.zero(), Poly.one()
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    return num.scale(1 / den.lead), den.scale(1 / den.lead)
+
+
+def _ref_flip(f: RatFunc, twist: int) -> tuple[Poly, Poly]:
+    # u^twist * f(1/u), both parts reversed to the same length
+    m = max(f.num.degree, f.den.degree)
+    num, den = f.num.reverse(m), f.den.reverse(m)
+    if twist >= 0:
+        return _ref(num * Poly.monomial(twist), den)
+    return _ref(num, den * Poly.monomial(-twist))
+
+
+def _random_poly(rng, nonzero: bool) -> Poly:
+    kind = rng.random()
+    if kind < 0.15 and not nonzero:
+        return Poly.zero()
+    if kind < 0.3:
+        return Poly.constant(rng.choice([1, -2, Fraction(3, 4)]))
+    p = Poly.constant(rng.choice([1, -1, 3, Fraction(-2, 5)]))
+    for _ in range(rng.randint(1, 3)):
+        p = p * rng.choice(_FACTORS)
+    if kind > 0.85:
+        # a summand that leaves no linear factor in common
+        p = p + Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+        if p.is_zero:
+            p = Poly.one()
+    return p
+
+
+def _assert_canonical(f: RatFunc):
+    assert f.den.lead == 1
+    assert f.num.gcd(f.den) == Poly.one()
+    if f.num.is_zero:
+        assert f.den == Poly.one()
+
+
+def _assert_same(f: RatFunc, ref: tuple[Poly, Poly]):
+    _assert_canonical(f)
+    assert (f.num, f.den) == ref
+
+
+def test_arithmetic_matches_full_gcd_reference():
+    rng = random.Random(20201)
+    for _ in range(600):
+        na, da = _random_poly(rng, False), _random_poly(rng, True)
+        nb = _random_poly(rng, False)
+        # equal denominators now and then, so that every factor is shared
+        db = da if rng.random() < 0.2 else _random_poly(rng, True)
+        a, b = RatFunc(na, da), RatFunc(nb, db)
+        _assert_same(a, _ref(na, da))
+        _assert_same(b, _ref(nb, db))
+        _assert_same(a + b, _ref(a.num * b.den + b.num * a.den, a.den * b.den))
+        _assert_same(a - b, _ref(a.num * b.den - b.num * a.den, a.den * b.den))
+        _assert_same(a * b, _ref(a.num * b.num, a.den * b.den))
+        if not b.is_zero:
+            _assert_same(a / b, _ref(a.num * b.den, a.den * b.num))
+        _assert_same(a - a, (Poly.zero(), Poly.one()))
+        _assert_same(-a, _ref(-a.num, a.den))
+        k = rng.randint(0, 3)
+        _assert_same(a ** k, _ref(a.num ** k, a.den ** k))
+        if not a.is_zero:
+            _assert_same(a ** -k, _ref(a.den ** k, a.num ** k))
+        c = rng.choice([0, 2, Fraction(-1, 3)])
+        _assert_same(a + c, _ref(a.num + a.den.scale(c), a.den))
+        _assert_same(c * a, _ref(a.num.scale(c), a.den))
+        t = rng.randint(-3, 3)
+        if not a.is_zero:
+            _assert_same(a.flip(t), _ref_flip(a, t))
+        s = rng.choice([1, -2, Fraction(1, 2)])
+        _assert_same(a.translate(s), _ref(a.num.shift(s), a.den.shift(s)))
+
+
+# ------------------------------------------------------------
+# Elimination kernel against a plain Fraction elimination
+# ------------------------------------------------------------
+
+
+def _plain_rref(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def test_elimination_matches_plain_fraction_elimination():
+    rng = random.Random(7)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if nrows > 2:  # a dependent row and a zero column
+            rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]
+            z = rng.randrange(ncols)
+            for r in rows:
+                r[z] = Fraction(0)
+        ref, ref_pivots = _plain_rref(rows)
+        got, pivots = rref(rows)
+        assert pivots == ref_pivots
+        assert got == ref
+        assert rank(rows) == len(ref_pivots)
+        free = [c for c in range(ncols) if c not in ref_pivots]
+        kernel = nullspace(rows, ncols)
+        assert len(kernel) == len(free)
+        for fc, v in zip(free, kernel):
+            assert all(v[c] == (1 if c == fc else 0) for c in free)
+            for r, pc in enumerate(ref_pivots):
+                assert v[pc] == -ref[r][fc]
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, v)) == 0

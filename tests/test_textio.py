@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplext.bundles import RatHom
 from symplext.errors import ParseError
@@ -250,3 +252,49 @@ def test_serialize_full_document_round_trip():
     )
     again = parse_document(serialize_document(doc))
     assert again == doc
+
+
+# keys a problem or machine file can carry, with some near misses
+_KEYS = (
+    "kind", "E", "L", "p", "q", "p[0; 1,1]", "q[inf; 1,2]", "p[1/2; 2,1]",
+    "beta[1,1]", "beta[2,1]", "alpha[1,2]", "class", "class[1,1]",
+    "coboundary", "structure", "isotropic", "regular", "degree", "splitting",
+    "results", "result[1].beta[1,1]", "result[1].q", "result[1].degree",
+    "result[1].splitting", "result[1].certificates", "test.direct",
+    "bounds.points", "bounds.order", "bounds.values", "bounds.cap",
+)
+# the expression grammar, numbers, points and record punctuation
+_VALUE_CHARS = "0123456789 z+-*/^()infyesno,;.[]:#symplectic"
+_ATOMS = st.sampled_from(["z", "0", "1", "-2", "3/4"])
+# expressions that parse, huge exponents included
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.builds("({}{}{})".format, inner, st.sampled_from("+-*/"), inner)
+    | st.builds("({})^{}".format, inner, st.sampled_from(["0", "2", "100000000"])),
+    max_leaves=6,
+)
+_VALUES = (
+    st.text(_VALUE_CHARS, max_size=24)
+    | _EXPRESSIONS
+    | st.lists(_ATOMS.filter(lambda a: a != "z"), min_size=1, max_size=3).map(" ".join)
+    | st.sampled_from(["yes", "no", "0 1 inf", "symplectic", "orthogonal", "2", "-1 -1"])
+)
+
+
+@st.composite
+def _documents(draw):
+    lines = ["format: symplext/1"]
+    if draw(st.booleans()):  # a valid frame, so that later records get built
+        lines += ["E: -1 -1", "L: 0"]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        lines.append(f"{draw(st.sampled_from(_KEYS))}: {draw(_VALUES)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(_documents() | st.text(_VALUE_CHARS + "\n", max_size=80))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_parse_document_raises_only_parse_error(text):
+    try:
+        parse_document(text)
+    except ParseError:
+        pass
