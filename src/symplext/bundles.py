@@ -171,18 +171,6 @@ class RatHom:
         z = RatFunc.zero()
         return RatHom(src, dst, [[z] * len(src) for _ in dst])
 
-    @staticmethod
-    def identity(frame) -> "RatHom":
-        frame = as_frame(frame)
-        return RatHom(
-            frame,
-            frame,
-            [
-                [RatFunc.one() if i == j else RatFunc.zero() for j in range(len(frame))]
-                for i in range(len(frame))
-            ],
-        )
-
     # -- structure ---------------------------------------------------
 
     @property
@@ -240,12 +228,6 @@ class RatHom:
     def scale(self, c) -> "RatHom":
         c = _as_ratfunc(c)
         return RatHom(self.src, self.dst, la.mat_scale(self.entries, c))
-
-    def compose(self, other: "RatHom") -> "RatHom":
-        """self after other (matrix product self @ other)."""
-        if self.src != other.dst:
-            raise FrameMismatch("composition frames differ")
-        return RatHom(other.src, self.dst, la.mat_mul(self.entries, other.entries))
 
     def apply(self, vec: Sequence[RatFunc]) -> list[RatFunc]:
         """Matrix times coordinate vector of the source frame."""
@@ -342,9 +324,6 @@ class TransitionData:
     def f_transition(self) -> list[list[RatFunc]]:
         """diag(z^(ell-d_j)), the transition of Hom(E, L)."""
         return _diag_powers(self.f_degrees)
-
-    def l_transition(self) -> RatFunc:
-        return zpow(self.ell)
 
 
 def _diag_powers(degrees: Frame) -> list[list[RatFunc]]:

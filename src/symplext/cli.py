@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import sampling
@@ -50,9 +49,10 @@ from .prinparts import (
     reduce_class,
     transpose_prin,
 )
-from .ratfield import parse_frac, parse_point, parse_ratfunc, ratfunc_text, zpow
+from .ratfield import parse_ratfunc, ratfunc_text, zpow
 from .subbundles import (
     SearchBounds,
+    beta_from_subbundle,
     cor6_backward,
     cor6_forward,
     graph_subbundle,
@@ -66,10 +66,12 @@ from .subbundles import (
 from .textio import (
     Document,
     ResultRecord,
+    class_lines,
+    mat_lines,
+    parse_bounds,
     parse_document,
+    prin_lines,
     serialize_document,
-    _mat_lines,
-    _prin_lines,
 )
 
 
@@ -97,7 +99,8 @@ def _kind_of(args, doc: Document) -> str:
 
 
 def _parse_bounds_flag(text: str) -> SearchBounds:
-    """`points=0,1,inf;order=2;values=0,1,-1;cap=25` -> SearchBounds."""
+    """`points=0,1,inf;order=2;values=0,1,-1;cap=25` -> SearchBounds: the
+    fields of the bounds.* records, with commas between list items."""
     fields = {}
     for part in text.split(";"):
         part = part.strip()
@@ -106,35 +109,8 @@ def _parse_bounds_flag(text: str) -> SearchBounds:
         if "=" not in part:
             raise ParseError(f"bad bounds field {part!r}")
         key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
-    unknown = set(fields) - {"points", "order", "values", "cap"}
-    if unknown:
-        raise ParseError(f"unknown bounds fields {sorted(unknown)}")
-    if "points" not in fields:
-        raise ParseError("bounds need at least points=...")
-    points = tuple(
-        parse_point(tok) for tok in fields["points"].split(",") if tok.strip()
-    )
-    if not points:
-        raise ParseError("bounds need at least one point")
-    order = 1
-    values: tuple = (Fraction(0), Fraction(1))
-    cap = 25
-    try:
-        if "order" in fields:
-            order = int(fields["order"])
-        if "cap" in fields:
-            cap = int(fields["cap"])
-    except ValueError as exc:
-        raise ParseError(f"bad bounds integer: {exc}")
-    if "values" in fields:
-        values = tuple(
-            parse_frac(tok) for tok in fields["values"].split(",") if tok.strip()
-        )
-    try:
-        return SearchBounds(points, order, values, cap)
-    except FrameMismatch as exc:
-        raise ParseError(f"invalid bounds: {exc}")
+        fields[key.strip()] = value.replace(",", " ")
+    return parse_bounds(fields)
 
 
 def _bounds_of(args, doc: Document) -> SearchBounds:
@@ -149,18 +125,16 @@ def _structure_of(ext: ExtensionData, kind: str):
     return check_symplectic(ext) if kind == "symplectic" else check_orthogonal(ext)
 
 
-def _beta_and_q(doc: Document, ext: ExtensionData):
-    """Resolve the subbundle datum: beta wins, else derive it from q."""
+def _beta_of(doc: Document, ext: ExtensionData):
+    """Resolve the subbundle datum: beta wins, else lift it from q."""
     if doc.beta is not None:
-        beta = doc.beta
-        return beta, ext.p - prin_of(beta)
+        return doc.beta
     if doc.q is not None:
-        q = doc.q
-        if reduce_class(q) != ext.extension_class():
+        if reduce_class(doc.q) != ext.extension_class():
             raise ClassMismatch(
                 "q does not represent the class of the extension"
             )
-        return lift_rational(ext.p - q), q
+        return lift_rational(ext.p - doc.q)
     raise ParseError("needs a beta or q record")
 
 
@@ -199,14 +173,7 @@ def cmd_reduce_class(args) -> int:
     if cls.is_zero:
         human = ["class: 0, coboundary: yes"]
     else:
-        human = []
-        for i in range(ext.rank):
-            for j in range(ext.rank):
-                coeffs = cls.entry(i, j)
-                if any(coeffs):
-                    body = " ".join(str(c) for c in coeffs)
-                    human.append(f"class[{i + 1},{j + 1}]: {body}")
-        human.append("coboundary: no")
+        human = class_lines(cls) + ["coboundary: no"]
     _emit(args, out, human)
     # a successful reduction is a report, not a verdict
     return 0
@@ -226,7 +193,7 @@ def cmd_check_structure(args) -> int:
         alpha=se.alpha,
         structure=True,
     )
-    human = ["structure: yes"] + _mat_lines("alpha", se.alpha)
+    human = ["structure: yes"] + mat_lines("alpha", se.alpha)
     _emit(args, out, human)
     return 0
 
@@ -234,13 +201,12 @@ def cmd_check_structure(args) -> int:
 def cmd_subbundle(args) -> int:
     doc = _read_document(args.file)
     ext = _extension_of(doc)
-    beta, q = _beta_and_q(doc, ext)
-    G = graph_subbundle(ext, beta)
+    G = graph_subbundle(ext, _beta_of(doc, ext))
     regular = regularity_check(G)
     out = Document(
         e_frame=ext.e_frame,
         ell=ext.ell,
-        beta=beta,
+        beta=G.beta,
         q=G.q,
         degree=G.degree,
         splitting=G.splitting,
@@ -249,7 +215,7 @@ def cmd_subbundle(args) -> int:
     human = []
     if G.q.is_zero:
         human.append("G = F")
-    human += _prin_lines("q", G.q)
+    human += prin_lines("q", G.q)
     human.append(f"degree: {G.degree}")
     human.append("splitting: " + " ".join(str(a) for a in G.splitting))
     human.append(f"regular: {'yes' if regular else 'no'}")
@@ -264,11 +230,10 @@ def cmd_isotropy(args) -> int:
     se = _structure_of(ext, kind)
     if se is None:
         return _no_structure(args, ext, kind)
-    beta, q = _beta_and_q(doc, ext)
-    G = graph_subbundle(ext, beta)
+    G = graph_subbundle(ext, _beta_of(doc, ext))
     tests = {
-        "prin": isotropy_prin(q, kind),
-        "linear": isotropy_linear(beta, se.alpha, kind),
+        "prin": isotropy_prin(G.q, kind),
+        "linear": isotropy_linear(G.beta, se.alpha, kind),
         "direct": isotropy_direct(se, G),
     }
     verdict = tests["direct"]
@@ -277,8 +242,8 @@ def cmd_isotropy(args) -> int:
         kind=kind,
         e_frame=ext.e_frame,
         ell=ext.ell,
-        beta=beta,
-        q=q,
+        beta=G.beta,
+        q=G.q,
         tests=tests,
         isotropic=verdict,
     )
@@ -303,7 +268,7 @@ def cmd_search(args) -> int:
         return _no_structure(args, ext, kind)
     bounds = _bounds_of(args, doc)
     found = search_lagrangian(se, bounds)
-    found = sorted(found, key=lambda G: "\n".join(_prin_lines("q", G.q)))
+    found = sorted(found, key=lambda G: "\n".join(prin_lines("q", G.q)))
     records = []
     for G in found:
         certs = tuple(
@@ -335,7 +300,7 @@ def cmd_search(args) -> int:
     )
     human = [f"results: {len(records)}"]
     for k, rec in enumerate(records, 1):
-        qtext = "; ".join(_prin_lines("q", rec.q))
+        qtext = "; ".join(prin_lines("q", rec.q))
         human.append(
             f"G[{k}]: degree={rec.degree}"
             f" splitting={','.join(str(a) for a in rec.splitting)}"
@@ -445,8 +410,6 @@ def _suite_graphs(rng) -> int:
         )
         _check(sum(G.splitting) == G.degree, "splitting does not sum to the degree")
         _check(splitting_type(G) == G.splitting, "splitting_type disagrees")
-        from .subbundles import beta_from_subbundle
-
         _check(
             beta_from_subbundle(G.basis_0, G.basis_inf, ext) == beta,
             "beta does not come back from its graph",

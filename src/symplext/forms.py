@@ -142,6 +142,12 @@ class ExtensionData:
         return cocycle_of(self.p)
 
     def s_infinity(self) -> RatHom:
+        """Rational splitting on the u-chart: s_0 minus the cocycle."""
+        return self._s_infinity
+
+    @cached_property
+    def _s_infinity(self) -> RatHom:
+        # every graph built in this extension and its regularity check reuse it
         T = self.cocycle()
         s0 = self.s_zero()
         return RatHom(

@@ -97,16 +97,6 @@ class PrinHom:
     def zero(src, dst) -> "PrinHom":
         return PrinHom(src, dst, {})
 
-    @staticmethod
-    def single(src, dst, point: PointP1, i: int, j: int, coeffs) -> "PrinHom":
-        """System with one nonzero tail, at ``point`` in entry (i, j)."""
-        src, dst = as_frame(src), as_frame(dst)
-        mat = [
-            [(coeffs if (r, c) == (i, j) else ()) for c in range(len(src))]
-            for r in range(len(dst))
-        ]
-        return PrinHom(src, dst, {point: mat})
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -203,9 +193,6 @@ class PrinHom:
             for pt, mat in self.parts.items()
         }
         return PrinHom(self.src, self.dst, parts)
-
-    def transpose(self) -> "PrinHom":
-        return transpose_prin(self)
 
 
 def prin_of(phi: RatHom) -> PrinHom:

@@ -390,10 +390,6 @@ class RatFunc:
     def z() -> "RatFunc":
         return RatFunc(Poly.x())
 
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
-
     # -- structure ---------------------------------------------------
 
     @property
@@ -544,25 +540,6 @@ class RatFunc:
         # series[i] is the coefficient of z^(val + i); c_k = coeff of z^(-k)
         return _trim_polar(tuple(series[-k - val] for k in range(1, -val + 1)))
 
-    def jet0(self, k: int) -> tuple[Fraction, ...]:
-        """First k Taylor coefficients at 0; requires regularity there."""
-        if k <= 0:
-            return ()
-        if self.is_zero:
-            return (Fraction(0),) * k
-        val = self.valuation0()
-        if val < 0:
-            raise ZeroDenominator("jet requested at a pole")
-        _, series = self.laurent0(k - 1)
-        out = [Fraction(0)] * k
-        for i, c in enumerate(series):
-            out[val + i] = c
-        return tuple(out)
-
-    def polynomial_part(self) -> Poly:
-        """Quotient of the division num = q * den + r."""
-        return self.num // self.den
-
     def finite_poles(self) -> dict[Fraction, int]:
         """Rational poles with multiplicities.
 
@@ -707,13 +684,6 @@ class PolarPart:
                 for k in range(m)
             ),
         )
-
-    def __neg__(self) -> "PolarPart":
-        return PolarPart(self.point, tuple(-c for c in self.coeffs))
-
-    def scale(self, c) -> "PolarPart":
-        c = as_fraction(c)
-        return PolarPart(self.point, tuple(c * a for a in self.coeffs))
 
     def as_ratfunc(self) -> RatFunc:
         """The rational function sum c_k / (z - a)^k; finite points only."""

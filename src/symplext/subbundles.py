@@ -83,17 +83,20 @@ class JetCondition:
 
 @dataclass(frozen=True)
 class GraphSubbundle:
-    """Graph closure of beta inside W.
+    """Graph closure of beta inside W, the extension ext.
 
-    basis_0 spans the sections over the z-chart, basis_inf over the
-    u-chart (u = 1/z).  Columns are 2n polynomial entries in the chart
-    trivialization of W: the top n rows hold x = s(f) - e where s is the
-    chart's rational splitting (s_zero on the z-chart, s_infinity on the
-    other), the bottom n rows hold the F-part f; on the graph,
-    x = (s - beta)(f).  The member coordinates are recovered as
-    e = s(f) - x.  conditions carry the jet systems of q at its support
-    (the point at infinity included, acting on u-jets)."""
+    q = ext.p - prin_of(beta) is computed once, by graph_subbundle, and
+    everything downstream reads ext and q from here.  basis_0 spans the
+    sections over the z-chart, basis_inf over the u-chart (u = 1/z).
+    Columns are 2n polynomial entries in the chart trivialization of W:
+    the top n rows hold x = s(f) - e where s is the chart's rational
+    splitting (s_zero on the z-chart, s_infinity on the other), the
+    bottom n rows hold the F-part f; on the graph, x = (s - beta)(f).
+    The member coordinates are recovered as e = s(f) - x.  conditions
+    carry the jet systems of q at its support (the point at infinity
+    included, acting on u-jets)."""
 
+    ext: ExtensionData
     beta: RatHom
     q: PrinHom
     conditions: tuple[JetCondition, ...]
@@ -293,10 +296,7 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     basis_inf = []
     for col in ubasis:
         fcol = [RatFunc(p) for p in col]
-        xcol = [
-            sum((ahat[i][j] * fcol[j] for j in range(n)), RatFunc.zero())
-            for i in range(n)
-        ]
+        xcol = [la.sum_prod(row, fcol) for row in ahat]
         basis_inf.append(
             tuple(_as_poly(v, "graph chart-infinity lift") for v in xcol)
             + tuple(col)
@@ -306,6 +306,7 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     if len(splitting) != n or sum(splitting) != degree:
         raise InternalLiftFailure("splitting type disagrees with degree")
     return GraphSubbundle(
+        ext=ext,
         beta=beta,
         q=q,
         conditions=conditions,
@@ -418,14 +419,10 @@ def beta_from_subbundle(basis_0, basis_inf, ext: ExtensionData) -> RatHom:
         for col in basis_inf:
             x_part = [_rf(x) for x in col[:n]]
             f_part = [_rf(x) for x in col[n:]]
-            for i in range(n):
-                got = sum(
-                    (ahat[i][j] * f_part[j] for j in range(n)), RatFunc.zero()
+            if [la.sum_prod(row, f_part) for row in ahat] != x_part:
+                raise FrameMismatch(
+                    "the two chart lattices do not span the same graph"
                 )
-                if got != x_part[i]:
-                    raise FrameMismatch(
-                        "the two chart lattices do not span the same graph"
-                    )
     return beta
 
 
@@ -449,10 +446,7 @@ def regularity_check(G: GraphSubbundle) -> bool:
     """
     n = G.rank
     beta = G.beta
-    # the extension the graph was built in: p = q + prin_of(beta)
-    ell = G.e_frame[0] + G.f_frame[0]
-    ext = ExtensionData(G.e_frame, ell, G.q + prin_of(beta))
-    a0 = ext.s_zero() - beta
+    a0 = G.ext.s_zero() - beta
     for col in G.basis_0:
         fcol = [RatFunc(p) for p in col[n:]]
         xcol = a0.apply(fcol)
@@ -464,17 +458,17 @@ def regularity_check(G: GraphSubbundle) -> bool:
         ecol = beta.apply(fcol)
         if any(not v.is_polynomial for v in ecol):
             return False
-    ahat = _beta_inf_chart(ext.s_infinity() - beta)
+    ahat = _beta_inf_chart(G.ext.s_infinity() - beta)
     bhat = _beta_inf_chart(beta)
     for col in G.basis_inf:
         fcol = [RatFunc(p) for p in col[n:]]
         for i in range(n):
-            xv = sum((ahat[i][j] * fcol[j] for j in range(n)), RatFunc.zero())
+            xv = la.sum_prod(ahat[i], fcol)
             if not xv.is_polynomial:
                 return False
             if xv != RatFunc(col[i]):
                 return False
-            ev = sum((bhat[i][j] * fcol[j] for j in range(n)), RatFunc.zero())
+            ev = la.sum_prod(bhat[i], fcol)
             if not ev.is_polynomial:
                 return False
     return True
@@ -572,19 +566,18 @@ def vertical_kernel(G: GraphSubbundle) -> VerticalKernel:
     fin = [c for c in G.conditions if not c.point.is_infinity]
     refined = _refine_by_conditions(kern, fin, n)
     verified = True
-    p_sys = G.q + prin_of(beta)
+    p_rows = [local_condition_matrix(G.ext.p, cond.point) for cond in fin]
     for col in refined:
         fcol = [RatFunc(p) for p in col]
         image = beta.apply(fcol)
         if any(not v.is_zero for v in image):
             verified = False
-        for cond in fin:
+        for cond, M in zip(fin, p_rows):
             K = cond.order
             a = cond.point.value
             jets: list[Fraction] = []
             for j in range(n):
                 jets.extend(_poly_jets(col[j], a, K))
-            M = local_condition_matrix(p_sys, cond.point)
             for row in M:
                 if sum(w * jv for w, jv in zip(row, jets)) != 0:
                     verified = False

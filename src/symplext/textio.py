@@ -40,7 +40,11 @@ __all__ = [
     "Document",
     "ResultRecord",
     "parse_document",
+    "parse_bounds",
     "serialize_document",
+    "prin_lines",
+    "mat_lines",
+    "class_lines",
 ]
 
 FORMAT_TAG = "symplext/1"
@@ -105,8 +109,9 @@ class Document:
 # ============================================================
 
 
-def _fail(lineno: int, msg: str):
-    raise ParseError(f"line {lineno}: {msg}")
+def _fail(lineno: Optional[int], msg: str):
+    # lineno is None for fields given outside a file (parse_bounds)
+    raise ParseError(msg if lineno is None else f"line {lineno}: {msg}")
 
 
 def _split_records(text: str) -> list[tuple[int, str, str]]:
@@ -520,6 +525,19 @@ def parse_document(text: str) -> Document:
     return builder.document()
 
 
+def parse_bounds(fields: dict[str, str]) -> SearchBounds:
+    """Search bounds from the fields of the bounds.* records given outside
+    a file: keys points, order, values and cap, values written as in the
+    records (lists separated by whitespace); ParseError on any defect."""
+    builder = _Builder()
+    for key, value in fields.items():
+        builder.add(None, f"bounds.{key}", value)
+    bounds = builder._build_bounds()
+    if bounds is None:
+        raise ParseError("bounds need at least bounds.points")
+    return bounds
+
+
 # ============================================================
 # Serialization
 # ============================================================
@@ -529,7 +547,8 @@ def _point_key(pt: PointP1):
     return (1, Fraction(0)) if pt.is_infinity else (0, pt.value)
 
 
-def _prin_lines(name: str, p: PrinHom) -> list[str]:
+def prin_lines(name: str, p: PrinHom) -> list[str]:
+    """The `name[point; i,j]: c_1 c_2 ...` records of a system."""
     if p.is_zero:
         return [f"{name}: 0"]
     out = []
@@ -545,7 +564,8 @@ def _prin_lines(name: str, p: PrinHom) -> list[str]:
     return out
 
 
-def _mat_lines(name: str, m: RatHom) -> list[str]:
+def mat_lines(name: str, m: RatHom) -> list[str]:
+    """The `name[i,j]: expression` records of a matrix's nonzero entries."""
     out = []
     for i, row in enumerate(m.entries):
         for j, f in enumerate(row):
@@ -554,7 +574,8 @@ def _mat_lines(name: str, m: RatHom) -> list[str]:
     return out or [f"{name}: 0"]
 
 
-def _class_lines(cls: CohClass) -> list[str]:
+def class_lines(cls: CohClass) -> list[str]:
+    """The `class[i,j]: c ...` records of a class's nonzero entries."""
     if cls.is_zero:
         return ["class: 0"]
     out = []
@@ -582,15 +603,15 @@ def serialize_document(doc: Document, header: bool = True) -> str:
     if doc.ell is not None:
         lines.append(f"L: {doc.ell}")
     if doc.p is not None:
-        lines += _prin_lines("p", doc.p)
+        lines += prin_lines("p", doc.p)
     if doc.q is not None:
-        lines += _prin_lines("q", doc.q)
+        lines += prin_lines("q", doc.q)
     if doc.beta is not None:
-        lines += _mat_lines("beta", doc.beta)
+        lines += mat_lines("beta", doc.beta)
     if doc.alpha is not None:
-        lines += _mat_lines("alpha", doc.alpha)
+        lines += mat_lines("alpha", doc.alpha)
     if doc.cohomology_class is not None:
-        lines += _class_lines(doc.cohomology_class)
+        lines += class_lines(doc.cohomology_class)
     if doc.coboundary is not None:
         lines.append(f"coboundary: {_yesno(doc.coboundary)}")
     if doc.structure is not None:
@@ -620,8 +641,8 @@ def serialize_document(doc: Document, header: bool = True) -> str:
         lines.append(f"results: {len(doc.results)}")
         for k, rec in enumerate(doc.results, 1):
             prefix = f"result[{k}]."
-            lines += [prefix + s for s in _prin_lines("q", rec.q)]
-            lines += [prefix + s for s in _mat_lines("beta", rec.beta)]
+            lines += [prefix + s for s in prin_lines("q", rec.q)]
+            lines += [prefix + s for s in mat_lines("beta", rec.beta)]
             lines.append(f"{prefix}degree: {rec.degree}")
             lines.append(
                 prefix + "splitting: " + " ".join(str(a) for a in rec.splitting)

@@ -303,6 +303,35 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     assert calls["direct"] == calls["graphs"]
 
 
+@pytest.mark.parametrize(
+    "command, text, expected",
+    [
+        ("subbundle", RANK1_SUBBUNDLE, 1),
+        ("subbundle", RANK1_GENERATOR + "q[1; 1,1]: 1\n", 1),
+        # the structure check lifts its alpha through prin_of as well
+        ("isotropy", RANK1_ISOTROPY, 2),
+    ],
+)
+def test_graph_commands_run_prin_of_once_per_graph(
+    tmp_path, capsys, monkeypatch, command, text, expected
+):
+    # q = p - prin_of(beta) is computed once, in graph_subbundle; the
+    # command and regularity_check read it from the graph
+    real = sys.modules["symplext.prinparts"].prin_of
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return real(phi)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symplext") and getattr(module, "prin_of", None) is real:
+            monkeypatch.setattr(module, "prin_of", counting)
+    code, _, _ = run(capsys, [command, write(tmp_path, text)])
+    assert code == 0
+    assert len(calls) == expected
+
+
 @pytest.mark.parametrize("bounds", ["points=0;order=0", "points=0;cap=0"])
 def test_search_bounds_out_of_range(tmp_path, capsys, bounds):
     f = write(tmp_path, RANK1_GENERATOR)

@@ -211,6 +211,26 @@ def test_corrupted_lattice_fails_regularity():
     assert not regularity_check(bad)
 
 
+def test_graph_carries_its_extension():
+    # regularity_check reads the extension from the graph; a corrupted
+    # lattice must still fail with that extension untouched
+    rng = random.Random(47)
+    for _ in range(4):
+        ext = sampling.extension(rng, (-1, -1), 0, max_order=2)
+        beta = sampling.rathom(rng, ext.f_frame, ext.e_frame, max_order=2)
+        G = graph_subbundle(ext, beta)
+        assert G.ext == ext
+        assert G.q == ext.p - prin_of(beta)
+        assert regularity_check(G)
+        for chart in ("basis_0", "basis_inf"):
+            cols = list(getattr(G, chart))
+            # shift one x-entry: the column leaves the graph
+            cols[0] = (cols[0][0] + Poly.one(),) + cols[0][1:]
+            bad = dataclasses.replace(G, **{chart: tuple(cols)})
+            assert bad.ext is G.ext
+            assert not regularity_check(bad)
+
+
 def test_regularity_with_overlapping_poles():
     rng = random.Random(101)
     pts = (P0, P2)

@@ -15,6 +15,7 @@ from symplext.textio import (
     FORMAT_TAG,
     Document,
     ResultRecord,
+    parse_bounds,
     parse_document,
     serialize_document,
 )
@@ -127,6 +128,19 @@ def test_bounds_and_flags():
     assert doc.isotropic is True
     assert doc.regular is False
     assert doc.tests == {"prin": True, "linear": True, "direct": False}
+
+
+def test_parse_bounds_fields_match_the_records():
+    fields = {"points": "0 1 inf", "order": "2", "values": "0 1 -1/2", "cap": "7"}
+    text = "format: symplext/1\nE: -1\nL: 0\n" + "".join(
+        f"bounds.{key}: {value}\n" for key, value in fields.items()
+    )
+    assert parse_bounds(fields) == parse_document(text).bounds
+    assert parse_bounds({"points": "0"}) == SearchBounds(points=(P0,))
+    with pytest.raises(ParseError, match="^unrecognized key 'bounds.depth'$"):
+        parse_bounds({"points": "0", "depth": "2"})
+    with pytest.raises(ParseError, match="bounds.points"):
+        parse_bounds({"order": "2"})
 
 
 @pytest.mark.parametrize("line", ["bounds.order: 0", "bounds.cap: 0"])
