@@ -1,13 +1,23 @@
 """Small exact linear algebra kernels: one Gauss-Jordan elimination over
-a field (Fraction or RatFunc entries) behind rref, rank and nullspace,
-and one Euclidean column reduction over Q[z] behind the Hermite form and
-the kernel of polynomial matrices.  Internal module."""
+a field behind rref, rank and nullspace, and one Euclidean column
+reduction over Q[z] behind the Hermite form and the kernel of polynomial
+matrices.  Internal module.
+
+A matrix whose entries are all rational (int or Fraction) is eliminated
+fraction-free: each row is scaled to integers by the lcm of its
+denominators, and Bareiss's integer-preserving Gauss-Jordan steps run on
+Python ints; only rref's reduced output is converted back to Fractions.
+Matrices with RatFunc entries take the plain Gauss-Jordan loop."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .ratfield import Poly, RatFunc
+
+_ZERO = Fraction(0)
+_RATIONAL = {int, Fraction}
 
 
 # ---------------- elimination over a field ----------------
@@ -47,14 +57,73 @@ def _gauss_jordan(rows, reduced: bool = True) -> list[int]:
     return pivots
 
 
+def _int_rows(rows):
+    """Each row times the lcm of its denominators, as lists of ints; None
+    when some entry is not rational."""
+    out = []
+    for row in rows:
+        if not set(map(type, row)) <= _RATIONAL:
+            return None
+        d = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _bareiss(rows, reduced: bool = True) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
+    pivot columns and the last pivot d.
+
+    Each step replaces every other row by (d * row - f * pivot_row) / p,
+    with d the new pivot, f the row's entry in the pivot column and p the
+    previous pivot (Bareiss, Math. Comp. 1968).  The division is exact:
+    the entries stay minors of the input.  Afterwards every pivot row
+    holds d in its pivot column, so the reduced form is rows / d.  Rows
+    at and below the pivot are zero left of its column and are updated
+    from there; rows above it are scaled in full.  With reduced=False
+    only the rows below a pivot are updated (echelon form)."""
+    pivots = []
+    p = 1
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        d = prow[c]
+        for i in range(0 if reduced else r + 1, len(rows)):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            lo = 0 if i < r else c
+            if f:
+                row[lo:] = [(d * a - f * b) // p for a, b in zip(row[lo:], prow[lo:])]
+            elif d != p:
+                row[lo:] = [d * a // p for a in row[lo:]]
+        pivots.append(c)
+        p = d
+        r += 1
+    return pivots, p
+
+
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = _field_rows(rows)
-    return rows, _gauss_jordan(rows)
+    ints = _int_rows(rows)
+    if ints is None:
+        rows = _field_rows(rows)
+        return rows, _gauss_jordan(rows)
+    pivots, d = _bareiss(ints)
+    return [[Fraction(x, d) if x else _ZERO for x in row] for row in ints], pivots
 
 
 def rank(rows) -> int:
-    return len(_gauss_jordan(_field_rows(rows), reduced=False))
+    ints = _int_rows(rows)
+    if ints is None:
+        return len(_gauss_jordan(_field_rows(rows), reduced=False))
+    return len(_bareiss(ints, reduced=False)[0])
 
 
 def nullspace(rows, ncols: int):

@@ -19,7 +19,7 @@ transition matrix of a split frame is diag(z^(d_i)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 

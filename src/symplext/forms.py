@@ -30,7 +30,6 @@ from .bundles import (
     RatHom,
     SplitBundle,
     TransitionData,
-    as_frame,
     dual_frame,
     transpose_hom,
 )

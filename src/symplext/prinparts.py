@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import _linalg as la
-from .bundles import Frame, RatHom, as_frame
+from .bundles import RatHom, as_frame
 from .errors import FrameMismatch, NotACochain, NotACoboundary
 from .ratfield import (
     INFINITY,

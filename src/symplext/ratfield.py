@@ -22,15 +22,18 @@ Poles are only supported at rational points; a denominator with an
 irreducible factor of degree two or more raises
 :class:`~symplext.errors.UnsupportedPoleField`.
 
-No floating point enters anywhere: coefficients are ``fractions.Fraction``
-throughout, and printing/parsing of rational functions round-trips
-bit-exactly.
+No floating point enters anywhere.  A polynomial is stored as one
+``fractions.Fraction`` content times a primitive polynomial with Python
+int coefficients, so its arithmetic runs on integers; every coefficient
+the module hands out is a ``Fraction``, and printing/parsing of rational
+functions round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, UnsupportedPoleField, ZeroDenominator, ZeroFunction
@@ -112,80 +115,111 @@ INFINITY = PointP1(None)
 
 
 class Poly:
-    """Polynomial over Q, dense ascending coefficients, no trailing zeros.
+    """Polynomial over Q: a rational content times a primitive integer
+    polynomial, dense ascending coefficients, no trailing zeros.
+
+    The integer part has coefficients with gcd 1 and a positive leading
+    coefficient; the content is a nonzero Fraction carrying the sign (the
+    zero polynomial is ``()`` with content 0).  That pair is canonical, so
+    equality and hashing read it directly.  Arithmetic runs on Python ints
+    plus one Fraction operation on the contents: a product needs no gcd
+    (Gauss's lemma: a product of primitive polynomials is primitive), a
+    sum takes one integer gcd, and division and gcds use integer
+    pseudo-division on primitive parts (Knuth TAOCP 2, 4.6.1).
+    ``coeffs``, the Fraction coefficients, is built on first use.
 
     >>> p = Poly([1, 0, -2])      # -2z^2 + 1
     >>> p.degree
     2
     >>> poly_text(p)
     '-2*z^2 + 1'
+    >>> Poly([1, 2]).scale(Fraction(1, 2)).coeffs
+    (Fraction(1, 2), Fraction(1, 1))
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_content", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, (int, Fraction)) else as_fraction(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        self._ints, self._content = _primitive_parts(
+            [c.numerator * (den // c.denominator) for c in cs], Fraction(1, den)
+        )
+        self._coeffs = None
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _ZERO_POLY
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _ONE_POLY
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((0, 1))
+        return _make((0, 1), Fraction(1))
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly((as_fraction(c),))
+        c = as_fraction(c)
+        return _make((1,), c) if c else _ZERO_POLY
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return Poly((0,) * k + (as_fraction(c),))
+        c = as_fraction(c)
+        if not c:
+            return _ZERO_POLY
+        return _make((0,) * k + (1,), c)
 
     # -- basic structure ---------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            c = self._content
+            cs = self._coeffs = tuple(c * x for x in self._ints)
+        return cs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def lead(self) -> Fraction:
-        if self.is_zero:
+        if not self._ints:
             raise ZeroFunction("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._content * self._ints[-1]
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._ints):
+            return self._content * self._ints[k]
         return Fraction(0)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Poly)
+            and self._ints == other._ints
+            and self._content == other._content
+        )
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash((self._ints, self._content))
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._ints)
 
     def __repr__(self) -> str:
         return f"Poly({poly_text(self)})"
@@ -193,38 +227,42 @@ class Poly:
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _make(self._ints, -self._content)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return _ZERO_POLY
+        content = self._content * other._content
+        # a primitive constant is 1
+        if len(a) == 1:
+            return _make(b, content)
+        if len(b) == 1:
+            return _make(a, content)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _make(tuple(out), content)
 
     def scale(self, c) -> "Poly":
-        c = as_fraction(c)
-        return Poly(tuple(c * a for a in self.coeffs))
+        if not isinstance(c, (int, Fraction)):
+            c = as_fraction(c)
+        if not c or not self._ints:
+            return _ZERO_POLY
+        return _make(self._ints, self._content * c)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out, base = Poly.one(), self
+        out, base = _ONE_POLY, self
         while k:
             if k & 1:
                 out = out * base
@@ -233,22 +271,12 @@ class Poly:
         return out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
+        if not other._ints:
             raise ZeroDenominator("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d, lc = other.degree, other.lead
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] / lc
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                r[k + i] -= c * b
-        return Poly(q), Poly(r)
+        q, r, s = _pseudo_divmod(self._ints, other._ints)
+        # s * self = (q * other + r) * (content of self)
+        c = self._content / s if s != 1 else self._content
+        return _primitive(q, c / other._content), _primitive(r, c)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -257,66 +285,192 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if not self._ints:
             return self
-        return self.scale(1 / self.lead)
+        return _make(self._ints, Fraction(1, self._ints[-1]))
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        """Monic greatest common divisor, by the primitive remainder
+        sequence of the integer parts."""
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return (other if not a else self).monic()
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            r = _pseudo_divmod(a, b)[1]
+            while r and not r[-1]:
+                r.pop()
+            if not r:
+                return _make(b, Fraction(1, b[-1]))
+            a, b = b, _primitive_parts(r, _F1)[0]
+        return _ONE_POLY
 
     # -- evaluation and reexpansion ----------------------------------
 
     def __call__(self, a) -> Fraction:
-        a = as_fraction(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        if not isinstance(a, (int, Fraction)):
+            a = as_fraction(a)
+        ints = self._ints
+        if not ints:
+            return Fraction(0)
+        # homogeneous Horner: acc = sum c_i u^i v^(deg - i) for a = u/v
+        u, v = a.numerator, a.denominator
+        acc, vk = 0, 1
+        for c in reversed(ints):
+            acc = acc * u + c * vk
+            vk *= v
+        c = self._content
+        return Fraction(c.numerator * acc, c.denominator * (vk // v))
 
     def shift(self, a) -> "Poly":
         """Taylor reexpansion: the polynomial p(z + a)."""
-        a = as_fraction(a)
-        acc = Poly.zero()
-        za = Poly((a, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * za + Poly.constant(c)
-        return acc
+        if not isinstance(a, (int, Fraction)):
+            a = as_fraction(a)
+        ints = self._ints
+        n = len(ints) - 1
+        if n <= 0 or not a:
+            return self
+        # p(z + u/v) = v^-n * p*(v z + u) for the integer polynomial
+        # p*(w) = v^n p(w / v); p*(w + u) by repeated synthetic division
+        u, v = a.numerator, a.denominator
+        c = [x * v ** (n - i) for i, x in enumerate(ints)] if v != 1 else list(ints)
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += u * c[j + 1]
+        if v == 1:
+            # z -> z + u is an automorphism of Z[z]: still primitive, same lead
+            return _make(tuple(c), self._content)
+        return _primitive([x * v**j for j, x in enumerate(c)], self._content / v**n)
 
     def reverse(self, n: int | None = None) -> "Poly":
         """Coefficient reversal z^n * p(1/z); n defaults to deg p."""
-        if self.is_zero:
+        ints = self._ints
+        if not ints:
             return self
+        d = len(ints) - 1
         if n is None:
-            n = self.degree
-        if n < self.degree:
+            n = d
+        if n < d:
             raise ValueError("reversal length below degree")
-        padded = list(self.coeffs) + [Fraction(0)] * (n - self.degree)
-        return Poly(tuple(reversed(padded)))
+        out = (0,) * (n - d) + ints[::-1]
+        k = len(out)
+        while not out[k - 1]:
+            k -= 1
+        out = out[:k]
+        if out[-1] < 0:
+            return _make(tuple(-x for x in out), -self._content)
+        return _make(out, self._content)
 
     def valuation0(self) -> int:
         """Order of vanishing at z = 0."""
-        if self.is_zero:
-            raise ZeroFunction("valuation of the zero polynomial")
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._ints):
             if c:
                 return i
-        raise AssertionError("unreachable")
+        raise ZeroFunction("valuation of the zero polynomial")
 
 
-def _series_quot(num: Sequence[Fraction], den: Sequence[Fraction], terms: int) -> list[Fraction]:
-    # power-series division, den[0] != 0
-    inv0 = 1 / den[0]
-    out: list[Fraction] = []
+_F1 = Fraction(1)
+
+
+def _make(ints: tuple[int, ...], content: Fraction) -> Poly:
+    # a Poly from parts already in canonical form
+    p = object.__new__(Poly)
+    p._ints = ints
+    p._content = content
+    p._coeffs = None
+    return p
+
+
+def _primitive_parts(ints: list[int], content: Fraction) -> tuple[tuple[int, ...], Fraction]:
+    """The canonical (integer part, content) of content * ints."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return (), Fraction(0)
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        return tuple(x // g for x in ints), content * g
+    return tuple(ints), content
+
+
+def _primitive(ints: list[int], content: Fraction) -> Poly:
+    return _make(*_primitive_parts(ints, content))
+
+
+_ZERO_POLY = _make((), Fraction(0))
+_ONE_POLY = _make((1,), Fraction(1))
+
+
+def _combine(p: Poly, q: Poly, sign: int) -> Poly:
+    # p + sign * q over the common denominator of the contents
+    a, b = p._ints, q._ints
+    if not b:
+        return p
+    if not a:
+        return q if sign > 0 else -q
+    cp, cq = p._content, q._content
+    pn, pd = cp.numerator, cp.denominator
+    qn, qd = sign * cq.numerator, cq.denominator
+    g, h = gcd(pd, qd), gcd(pn, qn)
+    sp, sq = pn // h * (qd // g), qn // h * (pd // g)
+    if len(a) < len(b):
+        a, b, sp, sq = b, a, sq, sp
+    out = [sp * x for x in a]
+    for i, y in enumerate(b):
+        out[i] += sq * y
+    return _primitive(out, Fraction(h, pd // g * qd))
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s * a = q * b + r, deg r < deg b, s a positive
+    integer, for integer polynomials with lead(b) > 0.  Pseudo-division
+    that scales the remainder only when lead(b) does not divide its next
+    leading term, so s = 1 whenever lead(b) = 1."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    nq = len(a) - db
+    if nq <= 0:
+        return [], r, 1
+    q = [0] * nq
+    s = 1
+    for k in range(nq - 1, -1, -1):
+        t = r[k + db]
+        if not t:
+            continue
+        if t % lb:
+            m = lb // gcd(t, lb)
+            s *= m
+            r = [x * m for x in r[: k + db + 1]]
+            q = [x * m for x in q]
+            t *= m
+        t //= lb
+        q[k] = t
+        for i, y in enumerate(b):
+            r[k + i] -= t * y
+    return q, r[:db], s
+
+
+def _series_quot(num: Poly, den: Poly, terms: int) -> list[Fraction]:
+    # power-series quotient num/den, den(0) != 0.  With N, D the integer
+    # parts and w_k = D_0^(k+1) * (N/D)_k, the recursion
+    # w_k = N_k D_0^k - sum_j D_j D_0^(j-1) w_(k-j) stays in the integers
+    n, d = num._ints, den._ints
+    d0 = d[0]
+    w: list[int] = []
+    powers = [1]  # powers of d0
     for k in range(terms):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
+        acc = n[k] * powers[k] if k < len(n) else 0
+        for j in range(1, min(k, len(d) - 1) + 1):
+            if d[j]:
+                acc -= d[j] * powers[j - 1] * w[k - j]
+        w.append(acc)
+        powers.append(powers[-1] * d0)
+    c = num._content / den._content
+    cn, cd = c.numerator, c.denominator
+    return [Fraction(cn * x, cd * powers[k + 1]) for k, x in enumerate(w)]
 
 
 # ============================================================
@@ -364,11 +518,11 @@ class RatFunc:
     def _store(self, num: Poly, den: Poly):
         # coprime num and den: only the denominator is made monic
         if num.is_zero:
-            num, den = Poly.zero(), Poly.one()
+            num, den = _ZERO_POLY, _ONE_POLY
         else:
-            lc = den.lead
-            if lc != 1:
-                num, den = num.scale(1 / lc), den.scale(1 / lc)
+            c, lead = den._content, den._ints[-1]
+            if c.numerator != 1 or c.denominator != lead:  # den not monic
+                num, den = _make(num._ints, num._content / (c * lead)), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -410,7 +564,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RatFunc({ratfunc_text(self)})"
@@ -525,9 +679,9 @@ class RatFunc:
         val = vn - vd
         if hi < val:
             return val, []
-        n = list(self.num.coeffs[vn:])
-        d = list(self.den.coeffs[vd:])
-        return val, _series_quot(n, d, hi - val + 1)
+        num = _make(self.num._ints[vn:], self.num._content)
+        den = _make(self.den._ints[vd:], self.den._content)
+        return val, _series_quot(num, den, hi - val + 1)
 
     def polar0(self) -> tuple[Fraction, ...]:
         """Polar coefficients at 0: (c_1, ..., c_m) with c_k on z^(-k)."""
@@ -621,18 +775,11 @@ def _rational_roots(p: Poly) -> tuple[dict[Fraction, int], int]:
     v = p.valuation0()
     if v:
         roots[Fraction(0)] = v
-        p = Poly(p.coeffs[v:])
+        p = _make(p._ints[v:], p._content)
     if p.degree == 0:
         return roots, 0
-    # integer model: clear denominators and content
-    from math import gcd, lcm
-
-    den_lcm = lcm(*[c.denominator for c in p.coeffs])
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
+    # a root u/v in lowest terms has u | ints[0] and v | ints[-1]
+    ints = p._ints
     candidates = set()
     for pn in _divisors(ints[0]):
         for qd in _divisors(ints[-1]):

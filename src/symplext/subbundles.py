@@ -85,8 +85,9 @@ class JetCondition:
 class GraphSubbundle:
     """Graph closure of beta inside W, the extension ext.
 
-    q = ext.p - prin_of(beta) is computed once, by graph_subbundle, and
-    everything downstream reads ext and q from here.  basis_0 spans the
+    q = ext.p - prin_of(beta) is computed once, by graph_subbundle (the
+    search hands in the q it built), and everything downstream reads ext
+    and q from here.  basis_0 spans the
     sections over the z-chart, basis_inf over the u-chart (u = 1/z).
     Columns are 2n polynomial entries in the chart trivialization of W:
     the top n rows hold x = s(f) - e where s is the chart's rational
@@ -119,15 +120,19 @@ class GraphSubbundle:
 
 
 def _poly_jets(f: Poly, a: Fraction, K: int) -> list[Fraction]:
-    # jet_s = f^(s)(a)/s!; row s of the Taylor expansion at a
-    out = []
-    cs = f.coeffs
-    for s in range(K):
-        acc = Fraction(0)
-        for c in range(s, len(cs)):
-            acc += math.comb(c, s) * cs[c] * a ** (c - s)
-        out.append(acc)
-    return out
+    # jet_s = f^(s)(a)/s!, the coefficient of z^s in f(z + a)
+    g = f.shift(a)
+    return [g[s] for s in range(K)]
+
+
+def _taylor_table(a: Fraction, K: int, top: int) -> list[list[int]]:
+    """t[c][s] = C(c, s) * u^(c-s) * v^s for a = u/v, c <= top and
+    s < K: jet s of z^c at a is t[c][s] / v^c."""
+    u, v = a.numerator, a.denominator
+    return [
+        [math.comb(c, s) * u ** (c - s) * v**s for s in range(min(c, K - 1) + 1)]
+        for c in range(top + 1)
+    ]
 
 
 def _slot_offsets(degs: Sequence[int]) -> tuple[list[int], int]:
@@ -157,20 +162,23 @@ def _jet_rows_on_coeffs(cond: JetCondition, n: int, degs: list[int]) -> list[lis
     a = cond.point.value
     K = cond.order
     offsets, width = _slot_offsets(degs)
+    top = max(degs)
+    table = _taylor_table(a, K, top)
+    vpow = [a.denominator**c for c in range(top + 1)]
     out = []
     for row in cond.rows:
+        # the row as integers wn over its common denominator L
+        L = math.lcm(*[w.denominator for w in row])
+        wn = [w.numerator * (L // w.denominator) for w in row]
         new = [Fraction(0)] * width
         for j in range(n):
-            if degs[j] < 0:
+            ws = wn[j * K : (j + 1) * K]
+            if degs[j] < 0 or not any(ws):
                 continue
             for c in range(degs[j] + 1):
-                acc = Fraction(0)
-                for s in range(min(c, K - 1) + 1):
-                    w = row[j * K + s]
-                    if w:
-                        acc += w * math.comb(c, s) * a ** (c - s)
+                acc = sum(w * t for w, t in zip(ws, table[c]))
                 if acc:
-                    new[offsets[j] + c] = acc
+                    new[offsets[j] + c] = Fraction(acc, L * vpow[c])
         out.append(new)
     return out
 
@@ -271,8 +279,12 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     """
     if beta.src != ext.f_frame or beta.dst != ext.e_frame:
         raise FrameMismatch("beta must map the dual frame to E")
+    return _graph_subbundle(ext, beta, ext.p - prin_of(beta))
+
+
+def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbundle:
+    # graph_subbundle for a caller that already holds q = p - prin_of(beta)
     n = ext.rank
-    q = ext.p - prin_of(beta)
     conditions = _conditions_of(q)
     fin = [c for c in conditions if not c.point.is_infinity]
     fbasis = _module_basis(n, fin)
@@ -610,11 +622,11 @@ def _refine_by_conditions(
             [_poly_jets(kern[t][j], a, 2 * K) for j in range(n)]
             for t in range(k)
         ]
+        cjets = [_poly_jets(Poly.monomial(c), a, K) for c in range(degD)]
         for row in cond.rows:
             new = [Fraction(0)] * width
             for t in range(k):
                 for c in range(degD):
-                    cjets = _poly_jets(Poly.monomial(c), a, K)
                     acc = Fraction(0)
                     for j in range(n):
                         for s in range(K):
@@ -624,7 +636,7 @@ def _refine_by_conditions(
                             # jet_s of product = sum of jet convolutions
                             conv = Fraction(0)
                             for s1 in range(s + 1):
-                                conv += kjets[t][j][s1] * cjets[s - s1]
+                                conv += kjets[t][j][s1] * cjets[c][s - s1]
                             acc += w * conv
                     if acc:
                         new[t * degD + c] = acc
@@ -775,8 +787,7 @@ def search_lagrangian(
         q = _defect_system(
             ext, sign, [(slot, tails[t]) for slot, t in zip(slots, choice)]
         )
-        beta = lift_rational(ext.p - q)
-        G = graph_subbundle(ext, beta)
+        G = _graph_subbundle(ext, lift_rational(ext.p - q), q)
         if not isotropy_direct(se, G):
             continue
         out.append(G)

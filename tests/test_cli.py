@@ -292,7 +292,8 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     direct = counting("direct", sb.isotropy_direct)
     monkeypatch.setattr(sb, "isotropy_direct", direct)
     monkeypatch.setattr(cli, "isotropy_direct", direct)
-    monkeypatch.setattr(sb, "graph_subbundle", counting("graphs", sb.graph_subbundle))
+    # the search builds its graphs through the private _graph_subbundle
+    monkeypatch.setattr(sb, "_graph_subbundle", counting("graphs", sb._graph_subbundle))
     text = RANK2_SYMMETRIC + (
         "bounds.points: 0 1\nbounds.order: 1\nbounds.values: 0 1 -1\n"
     )

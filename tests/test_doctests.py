@@ -1,0 +1,14 @@
+"""The docstring examples of the modules that have them."""
+
+import doctest
+
+import pytest
+
+from symplext import prinparts, ratfield
+
+
+@pytest.mark.parametrize("module", [ratfield, prinparts], ids=lambda m: m.__name__)
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -1,5 +1,6 @@
 """Field arithmetic, polar parts, and the expression grammar."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -81,6 +82,165 @@ def test_poly_divmod_exact():
 def test_poly_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) + c == a + (b + c)
+
+
+# ------------------------------------------------------------
+# Integer-backed Poly against plain Fraction coefficient lists
+# ------------------------------------------------------------
+
+
+def _trimmed(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _r_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    pad = lambda cs, i: cs[i] if i < len(cs) else 0
+    return _trimmed([pad(a, i) + sign * pad(b, i) for i in range(n)])
+
+
+def _r_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def _r_divmod(a, b):
+    q, r = [Fraction(0)] * max(0, len(a) - len(b) + 1), list(a)
+    while len(r) >= len(b):
+        k, c = len(r) - len(b), r[-1] / b[-1]
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r = _trimmed(r)
+    return _trimmed(q), r
+
+
+def _r_gcd(a, b):
+    while b:
+        a, b = b, _r_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _r_call(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _r_shift(a, x):
+    # coefficient s of p(z + x) is sum over c of C(c, s) a_c x^(c - s)
+    return _trimmed(
+        [sum(math.comb(c, s) * a[c] * x ** (c - s) for c in range(s, len(a))) for s in range(len(a))]
+    )
+
+
+def _r_reverse(a, n):
+    return _trimmed(list(reversed(a + [Fraction(0)] * (n + 1 - len(a)))))
+
+
+def _random_coeffs(rng):
+    """Up to six coefficients with mixed and large denominators, zeros at
+    either end now and then, and a leading coefficient of either sign."""
+    dens = [1, 1, 2, 3, 4, 6, 9, 10**9, 7**20]
+    cs = [
+        Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.8 else Fraction(0)
+        for _ in range(rng.randint(0, 6))
+    ]
+    if cs and rng.random() < 0.7:
+        cs[-1] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.choice(dens))
+    return cs
+
+
+def _same(p: Poly, ref):
+    assert p.coeffs == tuple(ref)
+    assert p == Poly(ref)
+    assert hash(p) == hash(Poly(ref))
+
+
+def test_poly_operations_match_fraction_reference():
+    rng = random.Random(4411)
+    for _ in range(400):
+        a, b = _trimmed(_random_coeffs(rng)), _trimmed(_random_coeffs(rng))
+        if rng.random() < 0.15:
+            b = list(a)  # equal operands: zero differences, exact quotients
+        pa, pb = Poly(a), Poly(b)
+        _same(pa, a)
+        _same(pa + pb, _r_add(a, b))
+        _same(pa - pb, _r_add(a, b, -1))
+        _same(pa - pa, [])
+        _same(-pa, [-c for c in a])
+        _same(pa * pb, _r_mul(a, b))
+        c = rng.choice([0, 1, -3, Fraction(5, 7), Fraction(-1, 10**9)])
+        _same(pa.scale(c), _trimmed([c * x for x in a]))
+        if b:
+            q, r = _r_divmod(a, b)
+            _same(divmod(pa, pb)[0], q)
+            _same(divmod(pa, pb)[1], r)
+            _same(pa // pb, q)
+            _same(pa % pb, r)
+            # the product plus the remainder divides back exactly
+            _same((pa * pb + Poly(r)) // pb, a)
+        if a or b:
+            _same(pa.gcd(pb), _r_gcd(a, b))
+        else:
+            assert pa.gcd(pb).is_zero
+        _same(pa.monic(), [x / a[-1] for x in a] if a else [])
+        x = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 10**6]))
+        assert pa(x) == _r_call(a, x)
+        assert type(pa(x)) is Fraction
+        _same(pa.shift(x), _r_shift(a, x))
+        for k in range(-1, len(a) + 2):
+            assert pa[k] == (a[k] if 0 <= k < len(a) else 0)
+        if a:
+            n = len(a) - 1 + rng.randint(0, 2)
+            _same(pa.reverse(n), _r_reverse(a, n))
+            _same(pa.reverse(), _r_reverse(a, len(a) - 1))
+            assert pa.valuation0() == next(i for i, c in enumerate(a) if c)
+            assert pa.lead == a[-1]
+            assert pa.degree == len(a) - 1
+
+
+def test_poly_equal_by_any_route_hashes_alike():
+    half = Fraction(1, 2)
+    routes = [
+        Poly([half, 1]),
+        Poly(["1/2", 1]),
+        Poly([1, 2]).scale(half),
+        Poly([-1, -2]).scale(-half),
+        Poly([0, half]) + Poly([half, half]),
+        (Poly([1, 2]) * Poly([1, 1])) // Poly([2, 2]),
+        Poly([1, 2]).monic(),
+        Poly([Fraction(-1, 2), 1]).shift(1),
+        Poly([1, half]).reverse(),
+    ]
+    for p in routes:
+        assert p == routes[0]
+        assert hash(p) == hash(routes[0])
+    assert len(set(routes)) == 1
+    assert Poly([1, 2]) != Poly([half, 1])
+    assert Poly([1, 2]) != Poly([-1, -2])
+
+
+def test_poly_coeffs_are_fractions():
+    for p in (
+        Poly([1, 2]),
+        Poly([Fraction(1, 2), 3]),
+        Poly([1, -2]) * Poly([3, 4]),
+        Poly([6, 4]).monic(),
+        Poly([1, 1]).shift(Fraction(2, 3)),
+    ):
+        assert isinstance(p.coeffs, tuple)
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert all(type(c) is Fraction for c in p)
+        assert type(p.lead) is Fraction
+    assert Poly([]).coeffs == ()
 
 
 # ------------------------------------------------------------
@@ -372,6 +532,25 @@ def _plain_rref(rows):
     return rows, pivots
 
 
+def _check_elimination(rows):
+    ncols = len(rows[0])
+    ref, ref_pivots = _plain_rref(rows)
+    got, pivots = rref(rows)
+    assert pivots == ref_pivots
+    assert got == ref
+    assert all(type(x) is Fraction for r in got for x in r)
+    assert rank(rows) == len(ref_pivots)
+    free = [c for c in range(ncols) if c not in ref_pivots]
+    kernel = nullspace(rows, ncols)
+    assert len(kernel) == len(free)
+    for fc, v in zip(free, kernel):
+        assert all(v[c] == (1 if c == fc else 0) for c in free)
+        for r, pc in enumerate(ref_pivots):
+            assert v[pc] == -ref[r][fc]
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+
+
 def test_elimination_matches_plain_fraction_elimination():
     rng = random.Random(7)
     for _ in range(60):
@@ -385,17 +564,24 @@ def test_elimination_matches_plain_fraction_elimination():
             z = rng.randrange(ncols)
             for r in rows:
                 r[z] = Fraction(0)
-        ref, ref_pivots = _plain_rref(rows)
-        got, pivots = rref(rows)
-        assert pivots == ref_pivots
-        assert got == ref
-        assert rank(rows) == len(ref_pivots)
-        free = [c for c in range(ncols) if c not in ref_pivots]
-        kernel = nullspace(rows, ncols)
-        assert len(kernel) == len(free)
-        for fc, v in zip(free, kernel):
-            assert all(v[c] == (1 if c == fc else 0) for c in free)
-            for r, pc in enumerate(ref_pivots):
-                assert v[pc] == -ref[r][fc]
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+        _check_elimination(rows)
+    # large denominators; wide, tall, 1 x n and m x 1 shapes; int and 0
+    # entries among the Fractions; dependent rows
+    shapes = [(3, 12), (12, 3), (1, 9), (9, 1), (1, 1), (7, 7), (5, 10)]
+    for _ in range(30):
+        for nrows, ncols in shapes:
+            def entry():
+                kind = rng.random()
+                if kind < 0.2:
+                    return 0
+                if kind < 0.4:
+                    return rng.randint(-5, 5)
+                if kind < 0.7:
+                    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**12))
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 2:
+                rows[1] = [Fraction(2, 3) * x - y for x, y in zip(rows[0], rows[2])]
+            _check_elimination(rows)
+    _check_elimination([[0] * 4 for _ in range(3)])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -534,6 +535,29 @@ def test_search_matches_generate_and_reject(degrees, parts, check, bounds):
     assert [G.q for G in out] == [G.q for G in ref]
     assert [G.beta for G in out] == [G.beta for G in ref]
     assert [G.splitting for G in out] == [G.splitting for G in ref]
+
+
+def test_search_runs_no_prin_of(monkeypatch):
+    # the search builds each hit's q itself; the graph takes it instead of
+    # computing p - prin_of(beta) again
+    se = check_symplectic(make_ext((-1, -2), parts={P0: [[(), (1,)], [(1,), ()]]}))
+    bounds = SearchBounds((PH, P0, P1), 1, (1, 0, -1), cap=4)
+    real = sys.modules["symplext.prinparts"].prin_of
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return real(phi)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symplext") and getattr(module, "prin_of", None) is real:
+            monkeypatch.setattr(module, "prin_of", counting)
+    out = search_lagrangian(se, bounds)
+    monkeypatch.undo()
+    assert len(out) == bounds.cap
+    assert calls == []
+    for G in out:
+        assert G.q == se.ext.p - prin_of(G.beta)
 
 
 def test_search_rank_one_orthogonal_has_no_slots():
