@@ -1,7 +1,8 @@
 """Small exact linear algebra kernels: one Gauss-Jordan elimination over
-a field behind rref, rank and nullspace, and one Euclidean column
-reduction over Q[z] behind the Hermite form and the kernel of polynomial
-matrices.  Internal module.
+a field behind rref, rank and nullspace, one Euclidean column reduction
+over Q[z] behind the Hermite form and the kernel of polynomial matrices,
+and the shifted weak Popov reduction of a Q[z]-module basis.  Internal
+module.
 
 A matrix whose entries are all rational (int or Fraction) is eliminated
 fraction-free: each row is scaled to integers by the lcm of its
@@ -226,6 +227,56 @@ def poly_hnf(columns, nrows: int):
                 _sub_multiple(b, b[row] // piv[row], piv)
         basis.append(piv)
     return basis
+
+
+def _shifted_pivot(col, shift) -> tuple[int, int]:
+    """(shifted degree, pivot row) of a nonzero column: the largest
+    deg col[j] + shift[j], and the last row j that reaches it."""
+    best = None
+    for j, p in enumerate(col):
+        if not p.is_zero and (best is None or p.degree + shift[j] >= best[0]):
+            best = (p.degree + shift[j], j)
+    if best is None:
+        raise ValueError("weak_popov needs linearly independent columns")
+    return best
+
+
+def weak_popov(columns, shift):
+    """Shifted weak Popov form of a Q[z]-module basis (Mulders-Storjohann,
+    "On lattice reduction for polynomial matrices", J. Symb. Comput. 2003).
+
+    columns are linearly independent lists of Poly; the shifted degree of
+    a column b is max_j (deg b_j + shift[j]) and its pivot is the last row
+    reaching that maximum.  While two columns share a pivot, the leading
+    term there of the one of higher shifted degree is cancelled by a
+    monomial multiple of the other; each step lowers that column's degree
+    or moves its pivot up, so the loop ends.  Returns the reduced columns
+    (a basis of the same module) and their shifted degrees d_i.  With
+    distinct pivots the degrees are predictable: the shifted degree of
+    sum c_i b_i is max_i (deg c_i + d_i).
+
+    >>> z, one = Poly.x(), Poly.one()
+    >>> cols, degs = weak_popov([[z, one], [z * z, z + one]], (0, -1))
+    >>> degs          # they add up to deg det + sum(shift) = 1 - 1
+    [1, -1]
+    >>> cols[1]
+    [Poly(0), Poly(1)]
+    """
+    cols = [list(c) for c in columns]
+    piv = [_shifted_pivot(c, shift) for c in cols]
+    while True:
+        owner: dict[int, int] = {}
+        for i, (_, row) in enumerate(piv):
+            if row in owner:
+                break
+            owner[row] = i
+        else:
+            return cols, [d for d, _ in piv]
+        k = owner[row]
+        hi, lo = (i, k) if piv[i][0] >= piv[k][0] else (k, i)
+        a, b = cols[hi][row], cols[lo][row]
+        _sub_multiple(cols[hi], Poly.monomial(a.degree - b.degree, a.lead / b.lead), cols[lo])
+        piv[hi] = _shifted_pivot(cols[hi], shift)
 
 
 def poly_kernel(B, ncols: int):

@@ -81,10 +81,15 @@ from .textio import (
 
 
 def _read_document(path: str) -> Document:
-    if path == "-":
-        return parse_document(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_document(text)
 
 
 def _extension_of(doc: Document) -> ExtensionData:

@@ -380,6 +380,33 @@ def _finite_excess(
     return out
 
 
+def _binom(n: int, r: int) -> int:
+    """C(n, r) = n (n-1) ... (n-r+1) / r! for any integer n."""
+    if n >= 0:
+        return math.comb(n, r)
+    return (-1) ** r * math.comb(r - n - 1, r)
+
+
+def _u_chart_tail(a: Fraction, coeffs: Coeffs, t: int) -> Coeffs:
+    """The tail coeffs at z = a != 0 of an entry in twist t, read on the
+    u-chart (u = 1/z) at u = b = 1/a.
+
+    There c/(z-a)^k reads c u^(t+k) (1 - a u)^(-k), that is
+    c (-b)^k u^(t+k) (u-b)^(-k); expanding u^(t+k) at b, it adds
+    c (-b)^k C(t+k, r) b^(t+k-r) at order k - r for r = 0 .. k-1 (the
+    generalized binomial when t + k < 0).
+    """
+    b = 1 / a
+    out = [Fraction(0)] * len(coeffs)
+    for k, c in enumerate(coeffs, 1):
+        if not c:
+            continue
+        ck = c * (-b) ** k
+        for r in range(k):
+            out[k - r - 1] += ck * _binom(t + k, r) * b ** (t + k - r)
+    return _trim(out)
+
+
 def reduce_class(p: PrinHom) -> CohClass:
     """Canonical representative of the class of a principal part system.
 

@@ -968,6 +968,14 @@ def ratfunc_text(f: RatFunc, var: str = "z") -> str:
 # cannot ask for a huge polynomial or a huge coefficient either.
 MAX_EXPONENT = 100
 
+# Largest size (degree, or 64-bit words of a coefficient; see _power_size)
+# that a sum, difference, product or quotient may reach.  Degrees and
+# coefficient lengths add under these operations, so without a bound a
+# short text asks for huge gcds: six terms (z+k)^99/(z+k+1)^99 took 28 s
+# and a product of 39 factors (z+k)^99 35 s.  With it, one operation on
+# the largest allowed operands takes a fraction of a second.
+MAX_SIZE = 100
+
 
 def _tokenize(text: str, var: str) -> list:
     toks: list = []
@@ -1005,15 +1013,47 @@ def _tokenize(text: str, var: str) -> list:
     return toks
 
 
+def _size_parts(f: RatFunc) -> tuple[int, int, int]:
+    """(deg num, deg den, coefficient bits) of f.  The bits bound both the
+    numerators and the denominators of the coefficients; they are read off
+    the contents and the integer parts, so no coefficient is built."""
+
+    def bits(p: Poly) -> int:
+        if not p._ints:
+            return 0
+        c = p._content
+        top = max(abs(x) for x in p._ints).bit_length()
+        return max(c.numerator.bit_length() + top, c.denominator.bit_length())
+
+    return f.num.degree, f.den.degree, max(bits(f.num), bits(f.den))
+
+
 def _power_size(f: RatFunc) -> int:
     """Size of f as the base of a power, at least 1: its degree, or the
     64-bit words of its longest coefficient if that is larger.  f^e has
     about e times this size."""
-    bits = max(
-        max(c.numerator.bit_length(), c.denominator.bit_length())
-        for c in f.num.coeffs + f.den.coeffs
-    )
-    return max(1, f.num.degree, f.den.degree, bits // 64)
+    dn, dd, bits = _size_parts(f)
+    return max(1, dn, dd, bits // 64)
+
+
+def _check_budget(a: RatFunc, op: str, b: RatFunc) -> None:
+    """Refuse a op b, before it is computed, when a bound on the size of
+    the result (in the measure of _power_size) exceeds MAX_SIZE: the
+    degrees of numerator and denominator add as the operation dictates,
+    and so do the coefficient bits."""
+    (an, ad, ab), (bn, bd, bb) = _size_parts(a), _size_parts(b)
+    if op == "*":
+        deg = max(an + bn, ad + bd)
+    elif op == "/":
+        deg = max(an + bd, ad + bn)
+    else:  # a sum or difference over the common denominator
+        deg = max(an + bd, ad + bn, ad + bd)
+    size = max(deg, (ab + bb) // 64)
+    if size > MAX_SIZE:
+        raise ParseError(
+            f"expression too large: '{op}' could give a result of size {size} "
+            f"(at most {MAX_SIZE})"
+        )
 
 
 class _ExprParser:
@@ -1034,6 +1074,7 @@ class _ExprParser:
         while self.peek() in ("+", "-"):
             op = self.take()
             t = self.term()
+            _check_budget(acc, op, t)
             acc = acc + t if op == "+" else acc - t
         return acc
 
@@ -1042,6 +1083,7 @@ class _ExprParser:
         while self.peek() in ("*", "/"):
             op = self.take()
             t = self.unary()
+            _check_budget(acc, op, t)
             acc = acc * t if op == "*" else acc / t
         return acc
 

@@ -4,9 +4,13 @@ A rational map beta : F -> E has a graph inside the rational sections of
 W; its closure G is the rank-n subbundle whose sheaf of sections is the
 kernel of the defect system q = p - prin_of(beta) acting on F.  This
 module builds G concretely: jet conditions at the support of q, module
-bases of sections over both charts, splitting type and degree.  It also
-inverts the construction (beta_from_subbundle), runs the regularity and
-isotropy criteria, and enumerates isotropic graphs within finite bounds.
+bases of sections over both charts, splitting type and degree.  The
+splitting type is read off a shifted weak Popov form of the chart-0 basis,
+with the condition at infinity folded in as one small matrix; the h^0
+profile scan of splitting_type stays as an independent check.  The module
+also inverts the construction (beta_from_subbundle), runs the regularity
+and isotropy criteria, and enumerates isotropic graphs within finite
+bounds.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import (
 from .forms import ExtensionData, RatSectionW, _StructuredExtension
 from .prinparts import (
     PrinHom,
+    _u_chart_tail,
     lift_rational,
     local_condition_matrix,
     prin_length,
@@ -38,13 +43,7 @@ from .prinparts import (
     reduce_class,
     transpose_prin,
 )
-from .ratfield import (
-    PointP1,
-    Poly,
-    RatFunc,
-    as_fraction,
-    polar_coeffs_as_ratfunc,
-)
+from .ratfield import PointP1, Poly, RatFunc, as_fraction
 
 __all__ = [
     "JetCondition",
@@ -247,24 +246,10 @@ def _u_chart_conditions(q: PrinHom) -> tuple[JetCondition, ...]:
                 [q.entry(pt, i, j) for j in range(m)] for i in range(n)
             ]
         elif pt.value != 0:
-            b = Fraction(1) / pt.value
-            mat = []
-            for i in range(n):
-                row = []
-                for j in range(m):
-                    coeffs = q.entry(pt, i, j)
-                    if not coeffs:
-                        row.append(())
-                        continue
-                    tail = (
-                        polar_coeffs_as_ratfunc(pt.value, coeffs)
-                        .flip(q.twist(i, j))
-                        .translate(b)
-                        .polar0()
-                    )
-                    row.append(tail)
-                mat.append(row)
-            parts[PointP1.finite(b)] = mat
+            parts[PointP1.finite(1 / pt.value)] = [
+                [_u_chart_tail(pt.value, q.entry(pt, i, j), q.twist(i, j)) for j in range(m)]
+                for i in range(n)
+            ]
     qhat = PrinHom(q.src, q.dst, parts)
     return _conditions_of(qhat)
 
@@ -275,7 +260,11 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     Solves the jet systems of q = p - prin_of(beta) at each support
     point, assembles module bases of the kernel sheaf over both charts
     (lifted to W by f |-> (beta f, f), stored in the chart
-    trivializations), and computes splitting type and degree.
+    trivializations), and computes the degree from the length of q.  The
+    splitting type comes from the chart-0 basis of the finite conditions
+    reduced to shifted weak Popov form, whose column degrees give the
+    h^0 profile of that lattice, and from the condition at infinity acting
+    on the jets of the coefficients (see _reduced_splitting): no h^0 scan.
     """
     if beta.src != ext.f_frame or beta.dst != ext.e_frame:
         raise FrameMismatch("beta must map the dual frame to E")
@@ -314,7 +303,8 @@ def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbu
             + tuple(col)
         )
     degree = sum(ext.f_frame) - prin_length(q)
-    splitting = _invert_profile(ext.f_frame, conditions, degree)
+    inf = next((c for c in conditions if c.point.is_infinity), None)
+    splitting = _reduced_splitting(ext.f_frame, fbasis, inf, degree)
     if len(splitting) != n or sum(splitting) != degree:
         raise InternalLiftFailure("splitting type disagrees with degree")
     return GraphSubbundle(
@@ -332,6 +322,68 @@ def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbu
 # ============================================================
 # h^0 profile and splitting type
 # ============================================================
+
+
+def _reduced_splitting(
+    f_frame: Sequence[int],
+    fbasis: Sequence[Sequence[Poly]],
+    inf: JetCondition | None,
+    degree: int,
+) -> tuple[int, ...]:
+    """Splitting type of the graph from its chart-0 lattice basis fbasis
+    (the finite conditions) and its condition at infinity, if any.
+
+    The shift -f weak Popov form b_1 .. b_n of fbasis has shifted column
+    degrees d_i, and by the predictable-degree property the sections of
+    G'(m), G' the bundle of the finite conditions alone, are the
+    sum c_i b_i with deg c_i <= m - d_i: G' splits as the O(-d_i).  The
+    condition at infinity (rows R on the jets (j, t), t < K, where jet
+    (j, t) of a section of G(m) is its coefficient of z^(f_j + m - t)) acts
+    on the u-jets (i, s), s < K, of the c_i, jet (i, s) being the
+    coefficient of z^(m - d_i - s), through the fixed matrix
+    C[r][(i, s)] = sum_{j, t >= s} R[r][(j, t)] * b_ij[f_j + d_i - (t - s)].
+    Jet (i, s) exists once m >= d_i + s, so with the columns of C sorted
+    by d_i + s, h^0(G(m)) = sum_i max(0, m - d_i + 1) minus the pivot
+    columns of C up to key m.  The type is read off that profile over the
+    range _invert_profile scans, without any further elimination.
+    """
+    n = len(f_frame)
+    cols, d = la.weak_popov(fbasis, [-f for f in f_frame])
+    keys: list[int] = []
+    if inf is not None:
+        K = inf.order
+        jets = sorted((d[i] + s, i, s) for i in range(n) for s in range(K))
+        C = [
+            [
+                sum(
+                    row[j * K + t] * cols[i][j][f_frame[j] + d[i] - t + s]
+                    for j in range(n)
+                    for t in range(s, K)
+                    if row[j * K + t]
+                )
+                for _, i, s in jets
+            ]
+            for row in inf.rows
+        ]
+        # a pivot column is independent of the columns before it
+        keys = [jets[c][0] for c in la.rref(C)[1]]
+
+    def h0(m: int) -> int:
+        return sum(max(0, m - di + 1) for di in d) - sum(k <= m for k in keys)
+
+    fmax = max(f_frame)
+    lo, hi = -fmax - 1, -(degree - (n - 1) * fmax)
+    h_prev = h0(lo - 1)
+    found: list[int] = []
+    for m in range(lo, hi + 1):
+        h = h0(m)
+        found += [-m] * (h - h_prev - len(found))  # the a_i >= -m
+        h_prev = h
+        if len(found) == n:
+            break
+    return tuple(found)
+
+
 
 
 def h0_twisted(G: GraphSubbundle, m: int) -> int:
@@ -396,7 +448,12 @@ def _invert_profile(
 
 
 def splitting_type(G: GraphSubbundle) -> tuple[int, ...]:
-    """Splitting type of G recomputed from its h^0 profile."""
+    """Splitting type of G recomputed from its h^0 profile, one rank per
+    twist over the provable range.
+
+    This is the independent oracle for G.splitting, which graph_subbundle
+    computes from a reduced lattice basis instead; the graph path never
+    calls it."""
     return _invert_profile(G.f_frame, G.conditions, G.degree)
 
 

@@ -370,6 +370,30 @@ def test_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+FILE_COMMANDS = ["reduce-class", "check-structure", "subbundle", "isotropy", "search"]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, command):
+    # a decoding failure is bad input (2), not the negative verdict (1)
+    f = tmp_path / "problem.txt"
+    f.write_bytes(RANK1_ISOTROPY.encode() + b"# \xff\n")
+    code, out, err = run(capsys, [command, str(f)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch, command):
+    raw = io.TextIOWrapper(io.BytesIO(b"format: symplext/1\n\xff\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", raw)
+    code, out, err = run(capsys, [command, "-"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
 def test_irrational_pole_reported(tmp_path, capsys):
     text = (
         "format: symplext/1\nE: -1\nL: 0\np: 0\n"

@@ -11,6 +11,7 @@ from symplext import sampling
 from symplext.bundles import RatHom
 from symplext.errors import NotACoboundary
 from symplext.prinparts import (
+    _u_chart_tail,
     CohClass,
     PrinHom,
     apply_prin,
@@ -286,3 +287,19 @@ def test_closed_form_lift_inverts_prin_of_on_coboundaries():
         p = sampling.coboundary_prinhom(rng, src, dst, pts=pts, max_order=3)
         assert reduce_class(p).is_zero
         assert prin_of(lift_rational(p)) == p
+
+
+def test_closed_form_u_chart_tails_match_ratfunc_route():
+    # the tail at z = a read at u = 1/a in twist t, against assembling it
+    # as a rational function, flipping it into the twist and translating
+    rng = random.Random(47)
+    for _ in range(600):
+        a = sampling.nonzero_fraction(rng, span=7, den=4)
+        coeffs = tuple(sampling.fraction(rng) for _ in range(rng.randint(1, 4)))
+        t = rng.randint(-8, 5)
+        expected = (
+            polar_coeffs_as_ratfunc(a, coeffs).flip(t).translate(1 / a).polar0()
+            if any(coeffs)
+            else ()
+        )
+        assert _u_chart_tail(a, coeffs, t) == expected, (a, coeffs, t)

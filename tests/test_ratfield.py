@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from symplext.errors import ParseError, UnsupportedPoleField, ZeroDenominator
 from symplext.ratfield import (
     INFINITY,
     MAX_EXPONENT,
+    MAX_SIZE,
     PointP1,
     PolarPart,
     Poly,
@@ -420,6 +422,31 @@ def test_parse_exponent_limit():
     ):
         with pytest.raises(ParseError):
             parse_ratfunc(bad)
+
+
+def test_parse_budget_for_sums_and_products():
+    # without the budget the first three ran for 28 s to minutes; now the
+    # operation that would pass MAX_SIZE is refused before it runs
+    slow = [
+        " + ".join(f"(z+{k})^99/(z+{k + 1})^99" for k in range(1, 7)),
+        " + ".join(f"(z+{k})^99/(z+{k + 1})^99" for k in range(1, 11)),
+        "*".join(f"(z+{k})^99" for k in range(1, 40)),
+        "(z+1)^99/(z+2)^99 + 1/(z+3)^99",
+        "(z+1)^60 * (z+2)^60",
+        "1/(z+1)^60 - 1/(z+2)^60",
+        "(2^90)^30 * (3^90)^30",  # coefficient words count as well
+    ]
+    start = time.perf_counter()
+    for text in slow:
+        with pytest.raises(ParseError, match="too large"):
+            parse_ratfunc(text)
+    assert time.perf_counter() - start < 10
+    # at the budget, and sums of polynomials, which do not grow the degree
+    half = MAX_SIZE // 2
+    f = parse_ratfunc(f"(z+1)^{half}/(z+2)^{half} + (z+3)^{half}/(z+4)^{half}")
+    assert f.den.degree == MAX_SIZE
+    g = parse_ratfunc(" + ".join(f"{k}*z^{MAX_SIZE}" for k in range(1, 300)))
+    assert g == RatFunc(Poly.monomial(MAX_SIZE, 299 * 300 // 2))
 
 
 # ------------------------------------------------------------

@@ -168,6 +168,42 @@ def test_degree_formula_random():
         assert splitting_type(G) == G.splitting
 
 
+# E frames with a spread, ranks 1 to 4
+_SPLIT_FRAMES = [
+    (0,), (2,), (0, -3), (-1, -1), (-1, -2), (1, -1, -3), (2, 0, -1),
+    (0, -2, -2, -4), (0, -1, -2, -3),
+]
+
+
+def test_reduced_splitting_matches_h0_profile_random():
+    # G.splitting comes from a weak Popov basis and the folded-in condition
+    # at infinity; splitting_type scans the h^0 profile independently
+    rng = random.Random(2027)
+    unbalanced = with_inf = without_inf = 0
+    for case in range(220):
+        E = _SPLIT_FRAMES[case % len(_SPLIT_FRAMES)]
+        ell = rng.randint(-1, 1)
+        F = dual_frame(E, ell)
+        pts = sampling.points(rng, rng.randint(1, 2), allow_infinity=True)
+        ext = sampling.extension(rng, E, ell, max_order=2)
+        beta = sampling.rathom(rng, F, E, pts=pts, max_order=2)
+        if case % 2:  # polynomial parts
+            beta = beta + RatHom(F, E, [
+                [rf([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+                 for _ in F]
+                for _ in E
+            ])
+        G = graph_subbundle(ext, beta)
+        assert G.splitting == splitting_type(G), (case, E, ell)
+        unbalanced += max(G.splitting) - min(G.splitting) > 1
+        if any(c.point.is_infinity for c in G.conditions):
+            with_inf += 1
+        else:
+            without_inf += 1
+    assert unbalanced >= 40
+    assert with_inf >= 40 and without_inf >= 40
+
+
 # ------------------------------------------------------------
 # beta_from_subbundle
 # ------------------------------------------------------------
