@@ -6,6 +6,11 @@ prints an exact, deterministic report.  With --machine the report is
 replaced by a structured-text document that parses back through
 parse_document.
 
+main builds the argparse parser on its first call and reuses it for
+every later call in the same process; each call still parses into a new
+namespace.  The parser records each command by the name of its cmd_*
+function, looked up in this module when the command runs.
+
 Exit codes: 0 affirmative, 1 negative verdict, 2 input error,
 3 unsupported input (poles outside the rational points), 4 internal error
 (an inconsistency the package detected in its own results).
@@ -81,11 +86,13 @@ from .textio import (
 
 
 def _read_document(path: str) -> Document:
+    """The document in a file, or on stdin for `-`.  A UTF-8 byte-order
+    mark, as some editors write, is dropped."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.read().removeprefix("\ufeff")
         else:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
@@ -497,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_file(sp)
     _add_machine(sp)
-    sp.set_defaults(func=cmd_reduce_class)
+    sp.set_defaults(func="cmd_reduce_class")
 
     sp = sub.add_parser(
         "check-structure",
@@ -506,14 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_file(sp)
     _add_kind(sp)
     _add_machine(sp)
-    sp.set_defaults(func=cmd_check_structure)
+    sp.set_defaults(func="cmd_check_structure")
 
     sp = sub.add_parser(
         "subbundle", help="graph subbundle of a rational map (beta or q)"
     )
     _add_file(sp)
     _add_machine(sp)
-    sp.set_defaults(func=cmd_subbundle)
+    sp.set_defaults(func="cmd_subbundle")
 
     sp = sub.add_parser(
         "isotropy", help="three-way isotropy verdict for a graph subbundle"
@@ -521,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_file(sp)
     _add_kind(sp)
     _add_machine(sp)
-    sp.set_defaults(func=cmd_isotropy)
+    sp.set_defaults(func="cmd_isotropy")
 
     sp = sub.add_parser(
         "search", help="enumerate isotropic graph subbundles within bounds"
@@ -533,19 +540,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--bounds",
         help="points=0,1,inf;order=2;values=0,1;cap=25 (overrides the file)",
     )
-    sp.set_defaults(func=cmd_search)
+    sp.set_defaults(func="cmd_search")
 
     sp = sub.add_parser("selftest", help="run the seeded invariant suites")
-    sp.set_defaults(func=cmd_selftest)
+    sp.set_defaults(func="cmd_selftest")
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # the parser stores the command's name: resolved here, a replaced or
+    # wrapped cmd_* function takes effect on the next call
+    command = globals()[args.func]
     try:
-        return args.func(args)
+        return command(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -57,6 +57,9 @@ __all__ = [
     "poly_text",
     "ratfunc_text",
     "parse_ratfunc",
+    "ParseBudget",
+    "PARSE_WORK",
+    "PARSE_WORK_PER_CHAR",
 ]
 
 # scalars are stdlib Fractions: always reduced, positive denominator
@@ -976,6 +979,35 @@ MAX_EXPONENT = 100
 # the largest allowed operands takes a fraction of a second.
 MAX_SIZE = 100
 
+# Work that the expressions of one document, or of one expression parsed
+# on its own, may do in products and gcds (see ParseBudget): PARSE_WORK
+# plus PARSE_WORK_PER_CHAR for every character of the text, so parse time
+# stays linear in the length of the text.  MAX_SIZE bounds one operation,
+# not their number: 16 entries, each a sum of two degree-50 quotients with
+# 63-bit bases and every operation inside MAX_SIZE, took 0.7-0.9 s to
+# parse.  Such an entry does 39,208 units of work, so that file is refused
+# within its second entry.  On a 2-vCPU x86 machine a unit took 5 us at
+# most (that entry's final sum: 52 ms for 10,000 units), and about 2 us in
+# the gcd of two dense polynomials with small coefficients.  An entry
+# (num)/(den) of degree d, as --machine output writes it, charges d^2.
+PARSE_WORK = 30_000
+PARSE_WORK_PER_CHAR = 5
+
+
+class ParseBudget:
+    """What is left of the work that the expressions of a text of the
+    given length may do.  An operation that multiplies or takes the gcd of
+    two non-constant polynomials charges the square of the bound on its
+    size (see _work); sums of polynomials, operations with a constant
+    operand and powers of a single term are linear and charge nothing.
+    parse_document hands one budget to all of its entries, and parsing
+    raises ParseError once the charges pass the budget."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, length: int):
+        self.left = PARSE_WORK + PARSE_WORK_PER_CHAR * length
+
 
 def _tokenize(text: str, var: str) -> list:
     toks: list = []
@@ -1036,11 +1068,11 @@ def _power_size(f: RatFunc) -> int:
     return max(1, dn, dd, bits // 64)
 
 
-def _check_budget(a: RatFunc, op: str, b: RatFunc) -> None:
-    """Refuse a op b, before it is computed, when a bound on the size of
-    the result (in the measure of _power_size) exceeds MAX_SIZE: the
-    degrees of numerator and denominator add as the operation dictates,
-    and so do the coefficient bits."""
+def _check_budget(a: RatFunc, op: str, b: RatFunc) -> int:
+    """A bound on the size of a op b (in the measure of _power_size),
+    computed before the operation: the degrees of numerator and
+    denominator add as the operation dictates, and so do the coefficient
+    bits.  ParseError when the bound exceeds MAX_SIZE."""
     (an, ad, ab), (bn, bd, bb) = _size_parts(a), _size_parts(b)
     if op == "*":
         deg = max(an + bn, ad + bd)
@@ -1054,12 +1086,45 @@ def _check_budget(a: RatFunc, op: str, b: RatFunc) -> None:
             f"expression too large: '{op}' could give a result of size {size} "
             f"(at most {MAX_SIZE})"
         )
+    return size
+
+
+def _is_constant(f: RatFunc) -> bool:
+    return f.num.degree <= 0 and f.is_polynomial
+
+
+def _is_term(p: Poly) -> bool:
+    # at most one nonzero coefficient: its powers cost linear time
+    return sum(1 for x in p._ints if x) <= 1
+
+
+def _work(a: RatFunc, op: str, b: RatFunc, size: int) -> int:
+    """The charge of a op b, whose result has at most the given size:
+    size^2 if the operation multiplies or takes the gcd of two
+    non-constant polynomials, else 0."""
+    if _is_constant(a) or _is_constant(b):
+        return 0
+    if op in "+-" and a.is_polynomial and b.is_polynomial:
+        return 0
+    return size * size
 
 
 class _ExprParser:
-    def __init__(self, toks: list):
+    def __init__(self, toks: list, budget: ParseBudget):
         self.toks = toks
         self.pos = 0
+        self.budget = budget
+
+    def _charge(self, work: int) -> None:
+        if not work:
+            return
+        self.budget.left -= work
+        if self.budget.left < 0:
+            raise ParseError(
+                "expressions too large: their products and gcds pass the "
+                f"parse budget ({PARSE_WORK} plus "
+                f"{PARSE_WORK_PER_CHAR} per character)"
+            )
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -1074,7 +1139,7 @@ class _ExprParser:
         while self.peek() in ("+", "-"):
             op = self.take()
             t = self.term()
-            _check_budget(acc, op, t)
+            self._charge(_work(acc, op, t, _check_budget(acc, op, t)))
             acc = acc + t if op == "+" else acc - t
         return acc
 
@@ -1083,7 +1148,7 @@ class _ExprParser:
         while self.peek() in ("*", "/"):
             op = self.take()
             t = self.unary()
-            _check_budget(acc, op, t)
+            self._charge(_work(acc, op, t, _check_budget(acc, op, t)))
             acc = acc * t if op == "*" else acc / t
         return acc
 
@@ -1109,6 +1174,8 @@ class _ExprParser:
                     f"power too large: exponent {e} on a base of size {size} "
                     f"(the product may be at most {MAX_EXPONENT})"
                 )
+            if e > 1 and not (_is_term(base.num) and _is_term(base.den)):
+                self._charge((e * size) ** 2)
             return base ** e
         return base
 
@@ -1126,13 +1193,19 @@ class _ExprParser:
         raise ParseError(f"unexpected token {t!r}")
 
 
-def parse_ratfunc(text: str, var: str = "z") -> RatFunc:
+def parse_ratfunc(
+    text: str, var: str = "z", budget: ParseBudget | None = None
+) -> RatFunc:
     """Parse the expression grammar the printers emit (and reasonable
-    hand-written variants).  Round-trips ratfunc_text output bit-exactly."""
+    hand-written variants).  Round-trips ratfunc_text output bit-exactly.
+    Every operation is bounded by MAX_SIZE, and the operations charge the
+    given budget, or a budget for this text alone (see ParseBudget)."""
+    if budget is None:
+        budget = ParseBudget(len(text))
     toks = _tokenize(text, var)
     if not toks:
         raise ParseError("empty expression")
-    p = _ExprParser(toks)
+    p = _ExprParser(toks, budget)
     try:
         out = p.expr()
     except ZeroDenominator:

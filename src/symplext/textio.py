@@ -24,6 +24,7 @@ from .bundles import RatHom, dual_frame
 from .errors import FrameMismatch, ParseError
 from .prinparts import CohClass, PrinHom
 from .ratfield import (
+    ParseBudget,
     PointP1,
     RatFunc,
     frac_text,
@@ -172,9 +173,9 @@ def _parse_yesno(lineno: int, value: str) -> bool:
     _fail(lineno, f"expected yes or no, got {value!r}")
 
 
-def _parse_entry_value(lineno: int, value: str) -> RatFunc:
+def _parse_entry_value(lineno: int, value: str, budget: ParseBudget) -> RatFunc:
     try:
-        return parse_ratfunc(value)
+        return parse_ratfunc(value, budget=budget)
     except ParseError as exc:
         _fail(lineno, f"bad rational function: {exc}")
 
@@ -188,9 +189,11 @@ def _parse_point_token(lineno: int, tok: str) -> PointP1:
 
 class _Builder:
     """Accumulates raw records, then assembles typed objects once the
-    frames are known."""
+    frames are known.  The expressions of a document and of its result
+    records charge one parse budget."""
 
-    def __init__(self):
+    def __init__(self, budget: ParseBudget):
+        self.budget = budget
         self.scalars = {}
         self.scalar_lines = {}
         self.prin = {"p": {}, "q": {}}
@@ -221,7 +224,9 @@ class _Builder:
         rm = _RESULT_RE.match(key)
         if rm is not None:
             idx = int(rm.group(1))
-            sub = self.results.setdefault(idx, _Builder())
+            sub = self.results.get(idx)
+            if sub is None:
+                sub = self.results[idx] = _Builder(self.budget)
             sub.add(lineno, rm.group(2), value)
             return
         m = _KEY_RE.match(key)
@@ -296,7 +301,7 @@ class _Builder:
         i, j = _parse_indices(lineno, args)
         if (i, j) in self.mats[name]:
             _fail(lineno, f"duplicate entry {name}[{args}]")
-        self.mats[name][(i, j)] = _parse_entry_value(lineno, value)
+        self.mats[name][(i, j)] = _parse_entry_value(lineno, value, self.budget)
 
     def _class_record(self, lineno, args, value):
         self.class_seen = True
@@ -517,7 +522,7 @@ def parse_document(text: str) -> Document:
         _fail(lineno, "first record must be 'format: %s'" % FORMAT_TAG)
     if value != FORMAT_TAG:
         _fail(lineno, f"unsupported format {value!r}")
-    builder = _Builder()
+    builder = _Builder(ParseBudget(len(text)))
     for lineno, key, value in records[1:]:
         if key == "format":
             _fail(lineno, "duplicate format record")
@@ -529,7 +534,7 @@ def parse_bounds(fields: dict[str, str]) -> SearchBounds:
     """Search bounds from the fields of the bounds.* records given outside
     a file: keys points, order, values and cap, values written as in the
     records (lists separated by whitespace); ParseError on any defect."""
-    builder = _Builder()
+    builder = _Builder(ParseBudget(0))  # bounds hold no expressions
     for key, value in fields.items():
         builder.add(None, f"bounds.{key}", value)
     bounds = builder._build_bounds()

@@ -1,9 +1,12 @@
 """Command-line behavior: verdicts, exit codes, machine output."""
 
 import io
+import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,6 +397,29 @@ def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch, command):
     assert err.startswith("error: ") and "not UTF-8" in err
 
 
+# a problem file on which every file command gives a full answer
+EVERY_COMMAND = RANK1_ISOTROPY + """\
+bounds.points: 0 1
+bounds.order: 1
+bounds.values: 0 1 -1
+bounds.cap: 5
+"""
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch, command):
+    # editors on Windows start UTF-8 files with EF BB BF
+    plain = write(tmp_path, EVERY_COMMAND)
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + EVERY_COMMAND.encode())
+    want = run(capsys, [command, plain])
+    assert want[0] == 0 and want[1]
+    assert run(capsys, [command, str(marked)]) == want
+    stdin = io.TextIOWrapper(io.BytesIO(marked.read_bytes()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(capsys, [command, "-"]) == want
+
+
 def test_irrational_pole_reported(tmp_path, capsys):
     text = (
         "format: symplext/1\nE: -1\nL: 0\np: 0\n"
@@ -454,3 +480,91 @@ def test_selftest_fails_on_a_wrong_class_map_under_optimize():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL class reduction identities" in proc.stdout
     assert "all invariant suites passed" not in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    golden = Path(__file__).parent / "golden"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symplext", "reduce-class", str(golden / "ext.txt")],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    codes = json.loads((golden / "expected" / "exit_codes.json").read_text())
+    assert proc.stdout == (golden / "expected" / "01-ext-reduce-class.out").read_bytes()
+    assert proc.returncode == codes["01-ext-reduce-class"]
+
+
+# ------------------------------------------------------------
+# one parser per process
+# ------------------------------------------------------------
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    # main reuses its parser: every golden case, in shuffled order and with
+    # argparse errors and --help in between, must still give its own output
+    from test_golden import EXPECTED, GOLDEN, RUNS
+
+    codes = json.loads((EXPECTED / "exit_codes.json").read_text())
+    rng = random.Random(20261018)
+    file = str(GOLDEN / "search.txt")
+    interludes = (
+        (["search", file, "--machine", "--kind", "bogus"], 2),
+        (["search", file, "--bounds"], 2),
+        (["isotropy", "--kind", "orthogonal", "--machine", "--help"], 0),
+        (["--help"], 0),
+    )
+    for _ in range(3):
+        stems = sorted(RUNS)
+        rng.shuffle(stems)
+        for k, stem in enumerate(stems):
+            code, out, _ = run(capsys, RUNS[stem])
+            assert out.encode() == (EXPECTED / f"{stem}.out").read_bytes(), stem
+            assert code == codes[stem], stem
+            if k % 5 == 0:
+                argv, status = rng.choice(interludes)
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == status
+                capsys.readouterr()
+
+
+def test_commands_are_looked_up_when_they_run(tmp_path, capsys, monkeypatch):
+    f = write(tmp_path, RANK1_GENERATOR)
+    assert run(capsys, ["reduce-class", f])[0] == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.file)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_reduce_class", patched)
+    assert run(capsys, ["reduce-class", f]) == (7, "", "")
+    assert seen == [f]
+
+
+def test_each_call_parses_into_a_new_namespace(tmp_path, capsys, monkeypatch):
+    # argparse copies a subcommand's values over the namespace it is given,
+    # so outputs alone would not show a namespace kept between calls; the
+    # attributes of another command's options would
+    f = write(tmp_path, RANK1_GENERATOR)
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_search", record)
+    monkeypatch.setattr(cli, "cmd_check_structure", record)
+    run(capsys, ["search", f, "--bounds", "points=0", "--machine"])
+    run(capsys, ["check-structure", f])
+    first, second = seen
+    assert first is not second
+    assert vars(second) == {
+        "command": "check-structure",
+        "file": f,
+        "kind": None,
+        "machine": False,
+        "func": "cmd_check_structure",
+    }

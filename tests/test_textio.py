@@ -1,5 +1,7 @@
 """The structured-text format: parsing, serialization, and strictness."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,17 @@ from hypothesis import strategies as st
 from symplext.bundles import RatHom
 from symplext.errors import ParseError
 from symplext.prinparts import PrinHom
-from symplext.ratfield import INFINITY, PointP1, Poly, RatFunc
+from symplext.ratfield import (
+    INFINITY,
+    MAX_SIZE,
+    PARSE_WORK,
+    PARSE_WORK_PER_CHAR,
+    ParseBudget,
+    PointP1,
+    Poly,
+    RatFunc,
+    parse_ratfunc,
+)
 from symplext.subbundles import SearchBounds
 from symplext.textio import (
     FORMAT_TAG,
@@ -226,6 +238,97 @@ def test_result_count_mismatch_rejected():
     )
     with pytest.raises(ParseError):
         parse_document(text)
+
+
+def _heavy_document(entries, rank=4):
+    # every entry a sum of two degree-50 quotients with 63-bit bases: each
+    # operation inside MAX_SIZE, 39,208 units of work per entry
+    big = 2**63 - 1
+    lines = ["format: symplext/1", "E: " + " ".join(["-1"] * rank), "L: 0", "p: 0"]
+    for k in range(entries):
+        i, j = divmod(k, rank)
+        c = [big - 4 * k - t for t in range(4)]
+        lines.append(
+            f"beta[{i + 1},{j + 1}]: "
+            f"(z+{c[0]})^50/(z+{c[1]})^50 + (z+{c[2]})^50/(z+{c[3]})^50"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rank", [4, 8])
+def test_parse_budget_bounds_a_document(rank):
+    # 16 such entries took 0.7-0.9 s to parse; 64 took four times that
+    text = _heavy_document(rank * rank, rank)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="parse budget"):
+        parse_document(text)
+    assert time.perf_counter() - start < 0.3
+
+
+def _power_document(entries, results=0):
+    # every entry (z+k)^100 charges (100 * 1)^2 = 10,000 units of work
+    lines = ["format: symplext/1", "E: -1 -1", "L: 0", "p: 0"]
+    for k in range(entries + results):
+        i, j = divmod(k % 4, 2)
+        key = f"beta[{i + 1},{j + 1}]" if k < entries else "result[1].beta[1,1]"
+        lines.append(f"{key}: (z+{k + 1})^100")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_budget_is_shared_by_the_whole_document():
+    fit = PARSE_WORK // 10_000
+    assert parse_document(_power_document(fit)).beta is not None
+    refused = f"line {5 + fit}: .*parse budget"
+    with pytest.raises(ParseError, match=refused):
+        parse_document(_power_document(fit + 1))
+    # result records charge the budget of their document
+    with pytest.raises(ParseError, match=refused):
+        parse_document(_power_document(fit, results=1))
+
+
+def _dense(rng, degree):
+    return " + ".join(f"{rng.randint(1, 9)}*z^{k}" for k in range(degree, -1, -1))
+
+
+def test_cheap_large_documents_parse():
+    rng = random.Random(5)
+    head = "format: symplext/1\nE: -1 -1 -1 -1\nL: 0\np: 0\n"
+    # sums of polynomials and products with a constant charge nothing
+    doc = parse_document(
+        head
+        + f"beta[1,1]: {_dense(rng, MAX_SIZE)}\n"
+        + "beta[1,2]: "
+        + " + ".join(f"{k}*z^{MAX_SIZE}" for k in range(1, 300))
+        + "\nbeta[2,1]: "
+        + " + ".join(f"z^{k}" for k in range(30, 0, -1))
+        + " + 1\n"
+    )
+    assert doc.beta.entries[0][1] == RatFunc(Poly.monomial(MAX_SIZE, 299 * 300 // 2))
+    # a beta of 16 dense degree-5 quotients charges about 16 * 25
+    parse_document(
+        head
+        + "".join(
+            f"beta[{i},{j}]: ({_dense(rng, 5)})/({_dense(rng, 5)})\n"
+            for i in range(1, 5)
+            for j in range(1, 5)
+        )
+    )
+    # past PARSE_WORK in all, but not per character: still parsed
+    rank = 9
+    entries = {
+        (i, j): f"({_dense(rng, 19)})/({_dense(rng, 20)})"
+        for i in range(1, rank + 1)
+        for j in range(1, rank + 1)
+    }
+    text = (
+        f"format: symplext/1\nE: {' '.join(['-1'] * rank)}\nL: 0\n"
+        + "".join(f"beta[{i},{j}]: {v}\n" for (i, j), v in entries.items())
+    )
+    budget = ParseBudget(len(text))
+    for value in entries.values():
+        parse_ratfunc(value, budget=budget)
+    assert budget.left < PARSE_WORK_PER_CHAR * len(text)
+    assert len(parse_document(text).beta.entries) == rank
 
 
 def test_garbage_expression_rejected():
