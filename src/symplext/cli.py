@@ -19,12 +19,20 @@ Exit codes: 0 affirmative, 1 negative verdict, 2 input error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import sampling
-from .bundles import TransitionData, cocycle_transpose_check, h0_hom, transpose_hom
+from .bundles import (
+    TransitionData,
+    cocycle_transpose_check,
+    dual_frame,
+    h0_hom,
+    transpose_hom,
+)
 from .errors import (
     ClassMismatch,
     DegenerateB,
@@ -46,6 +54,7 @@ from .forms import (
     is_global_member,
 )
 from .prinparts import (
+    PrinHom,
     cech_class,
     cocycle_of,
     lift_rational,
@@ -291,7 +300,8 @@ def cmd_search(args) -> int:
             )
             if ok
         )
-        # search_lagrangian keeps only graphs that pass isotropy_direct
+        # search_lagrangian keeps only graphs whose unit-basis lift the form
+        # kills, evaluated entrywise: the direct certificate
         certs += ("direct",)
         records.append(
             ResultRecord(
@@ -439,6 +449,63 @@ def _suite_roundtrip(rng) -> int:
     return 8
 
 
+def _candidates(kind: str, degrees, bounds: SearchBounds):
+    """Every defect system of the bounds in product order: one tail per
+    entry (point, i, j) with i <= j, the diagonal for symplectic only,
+    mirrored into (j, i), negated for orthogonal."""
+    n, src = len(degrees), dual_frame(degrees, 0)
+    mirror = 1 if kind == "symplectic" else -1
+    slots = [
+        (pt, i, j)
+        for pt in bounds.points
+        for i in range(n)
+        for j in range(i, n)
+        if i < j or kind == "symplectic"
+    ]
+    tails = list(itertools.product(bounds.values, repeat=bounds.max_order))
+    for choice in itertools.product(tails, repeat=len(slots)):
+        parts = {}
+        for (pt, i, j), tail in zip(slots, choice):
+            mat = parts.setdefault(pt, [[() for _ in range(n)] for _ in range(n)])
+            mat[i][j] = tail
+            mat[j][i] = tuple(mirror * c for c in tail)
+        yield PrinHom(src, degrees, parts)
+
+
+def _suite_search(rng) -> int:
+    # generate and reject over the full product: class match, then
+    # isotropy_direct on the graph, in order up to the cap.  Each p is a
+    # candidate plus the tails of a rational map, so there is a hit.
+    # (kind, E, points, order, values); in rank 1 the class of a finite
+    # tail does not depend on its point, so table entries share sums
+    shapes = (
+        ("symplectic", (-1,), 4, 1, (0, 1, -1)),
+        ("symplectic", (-1, -2), 2, 1, (0, -1)),
+        ("orthogonal", (-1, -2), 2, 2, (0, Fraction(-1, 2))),
+        ("orthogonal", (-1, -1, -2), 2, 1, (Fraction(2, 3), 0)),
+    )
+    for kind, degrees, n_points, order, values in shapes:
+        bounds = SearchBounds(sampling.points(rng, n_points), order, values, cap=3)
+        planted = rng.choice(list(_candidates(kind, degrees, bounds)))
+        src = dual_frame(degrees, 0)
+        gamma = sampling.rathom(rng, src, degrees, max_order=1)
+        ext = ExtensionData(degrees, 0, planted + prin_of(gamma))
+        se = _structure_of(ext, kind)
+        _check(se is not None, "a planted candidate must carry the structure")
+        target = ext.extension_class()
+        hits = (
+            q
+            for q in _candidates(kind, degrees, bounds)
+            if reduce_class(q) == target
+            and isotropy_direct(se, graph_subbundle(ext, lift_rational(ext.p - q)))
+        )
+        ref = list(itertools.islice(hits, bounds.cap))
+        _check(ref, "the planted candidate is no hit")
+        found = [G.q for G in search_lagrangian(se, bounds)]
+        _check(found == ref, "search differs from generate-and-reject")
+    return len(shapes)
+
+
 def cmd_selftest(args) -> int:
     suites = (
         ("expression parser round trip", _suite_parser),
@@ -447,6 +514,7 @@ def cmd_selftest(args) -> int:
         ("symplectic structures and forms", _suite_forms),
         ("graph subbundles", _suite_graphs),
         ("condition/graph bijection", _suite_roundtrip),
+        ("search against generate-and-reject", _suite_search),
     )
     failed = False
     for name, suite in suites:

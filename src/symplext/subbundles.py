@@ -754,10 +754,21 @@ def cor6_backward(ext: ExtensionData, G: GraphSubbundle) -> PrinHom:
 # ============================================================
 
 
+# Largest meet-in-the-middle enumeration search_lagrangian runs: its table
+# entries plus walked choices (see _enumeration_work), each counted by the
+# 64-bit words of its packed class sum.  The uncapped README case needs
+# 9^4 + 9^5 = 65,610 one-word sums.  The largest table it allows holds
+# 50,000 one-word entries; the highest peak RSS measured for an allowed
+# search was 46 MiB (rank 1, two points, 50,000 values).
+MAX_SEARCH_WORK = 100_000
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Finite enumeration space: support points, maximal polar order,
-    the coefficient value set, and a cap on returned subbundles."""
+    the coefficient value set, and a cap on returned subbundles.  Points
+    and values must be distinct: a repeated one would count a slot twice
+    in the class sum but hold one tail in q."""
 
     points: tuple[PointP1, ...]
     max_order: int = 1
@@ -773,12 +784,10 @@ class SearchBounds:
             raise FrameMismatch("max_order must be at least 1")
         if self.cap < 1:
             raise FrameMismatch("cap must be at least 1")
-
-
-def _tails(bounds: SearchBounds):
-    return list(
-        itertools.product(bounds.values, repeat=bounds.max_order)
-    )
+        if len(set(self.points)) != len(self.points):
+            raise FrameMismatch("points must be distinct")
+        if len(set(self.values)) != len(self.values):
+            raise FrameMismatch("values must be distinct")
 
 
 def _defect_system(ext: ExtensionData, sign: int, chosen) -> PrinHom:
@@ -798,6 +807,101 @@ def _defect_system(ext: ExtensionData, sign: int, chosen) -> PrinHom:
     return PrinHom(ext.f_frame, ext.e_frame, parts)
 
 
+def _enumeration_work(n_values: int, order: int, n_slots: int) -> int:
+    """T^floor(s/2) table entries plus T^ceil(s/2) walked choices for s
+    slots of T = n_values^order tails; past MAX_SEARCH_WORK the value is
+    only a lower bound (the powers are not formed)."""
+    half = n_slots // 2
+    if n_values > 1 and order * (n_slots - half) > MAX_SEARCH_WORK.bit_length():
+        return MAX_SEARCH_WORK + 1  # T^ceil(s/2) >= 2^(order * ceil(s/2))
+    T = n_values**order
+    return T**half + T ** (n_slots - half)
+
+
+def _bounded_lcm(dens, bits: int) -> int | None:
+    """The lcm of dens, or None once it passes bits bits."""
+    m = 1
+    for d in dens:
+        m = math.lcm(m, d)
+        if m.bit_length() > bits:
+            return None
+    return m
+
+
+def _packed_classes(
+    units: Sequence[Sequence[Sequence[Fraction]]],
+    target: Sequence[Fraction],
+    values: Sequence[Fraction],
+    max_bits: int,
+) -> tuple[list[list[int]], int] | None:
+    """The class of every tail of every slot, in product order, and the
+    target class, each packed into one integer; None when a packed class
+    would pass max_bits bits.
+
+    A tail (c_1 .. c_K) of a slot has the class sum_k c_k u_k, u_k the
+    classes of the slot's unit tails.  Scaled by D V, D the common
+    denominator of the u_k and the target and V that of the values, the
+    classes are integer vectors x, packed as sum_i x_i 2^(b i).  Packing
+    is linear, and it is one to one on vectors whose coordinates stay
+    below 2^(b-1) in absolute value.  b is chosen so that every sum of one
+    class per slot minus the target does, so packed sums compare exactly
+    as the classes do, at the cost of one integer addition each.
+    """
+    vectors = [target, *itertools.chain(*units)]
+    D = _bounded_lcm((x.denominator for v in vectors for x in v), max_bits)
+    V = _bounded_lcm((c.denominator for c in values), max_bits)
+    if D is None or V is None:
+        return None
+    cs = [int(c * V) for c in values]
+    ints = [[[int(x * D) for x in u] for u in slot] for slot in units]
+    top = [int(x * D) * V for x in target]
+    bound = max(map(abs, top), default=0) + max(map(abs, cs), default=0) * sum(
+        max(map(abs, u), default=0) for slot in ints for u in slot
+    )
+    b = bound.bit_length() + 1  # 2^(b-1) > bound
+    if b * len(target) > max_bits:
+        return None
+
+    def pack(x: Sequence[int]) -> int:
+        return sum(xi << (b * i) for i, xi in enumerate(x))
+
+    vecs = []
+    for slot in ints:
+        packed = [pack(u) for u in slot]
+        vecs.append(
+            [
+                sum(c * u for c, u in zip(tail, packed))
+                for tail in itertools.product(cs, repeat=len(packed))
+            ]
+        )
+    return vecs, pack(top)
+
+
+def _class_sums(slot_vecs: Sequence[Sequence[int]], acc: int, choice: tuple = ()):
+    """(choice, acc + the chosen packed classes) for every choice of one
+    per slot, lazily and in product order."""
+    if len(choice) == len(slot_vecs):
+        yield choice, acc
+        return
+    for t, v in enumerate(slot_vecs[len(choice)]):
+        yield from _class_sums(slot_vecs, acc + v, choice + (t,))
+
+
+def _unit_lift_isotropic(se: _StructuredExtension, beta: RatHom) -> bool:
+    """isotropy_direct by the closed form of its pairings.  On the graph
+    lifts m_j = (beta(phi_j), phi_j) of the unit basis phi_j of F the
+    form reads theta(m_j, m_k) = beta_jk + sign beta_kj - alpha_kj, so
+    each pairing is one entry sum: no member and no dot product."""
+    b, a = beta.entries, se.alpha.entries
+    n = len(b)
+    for j in range(n):
+        for k in range(n):
+            pair = b[j][k] + b[k][j] if se._sign == 1 else b[j][k] - b[k][j]
+            if pair != a[k][j]:
+                return False
+    return True
+
+
 def search_lagrangian(
     se: _StructuredExtension, bounds: SearchBounds
 ) -> list[GraphSubbundle]:
@@ -806,48 +910,87 @@ def search_lagrangian(
     over the finite bounds, and return the isotropic graph subbundles
     they cut out, in enumeration order, up to the cap.
 
-    The class map is linear, so [q] is the sum of the classes of its
-    slot tails: those are reduced once, and q itself is built only for
-    the candidates whose sum is [p]."""
+    A candidate fills each of its s slots (point, i, j) with one of the
+    T = |values|^order tails; the enumeration order is the product order
+    of these choices.  The class map is linear, so [q] is the sum of its
+    slot classes, and each tail's class is the combination of the classes
+    of the order unit tails of its slot: s * order reductions in all.
+    Each class becomes one integer (_packed_classes), so a class sum is
+    an integer sum.  Finding the sums equal to [p] is a subset-sum
+    problem, solved by meeting in the middle (Horowitz-Sahni 1974): the
+    class sums of the last floor(s/2) slots go into a table, keyed by
+    what they leave of [p], and the choices of the first ceil(s/2) slots
+    are walked in product order and looked up there.  Each hit meets its
+    table entries in product order, so the hits, their order and the cut
+    at the cap are those of the full product, at a cost of
+    T^floor(s/2) + T^ceil(s/2) class sums instead of T^s.  Bounds whose
+    work, these sums times the 64-bit words of one, passes
+    MAX_SEARCH_WORK raise FrameMismatch: a count past it before any class
+    is reduced, wide sums once the classes are packed.
+
+    q and its graph are built only for the hits; the graph is kept when
+    the form vanishes on the graph lifts of the unit basis of F, the
+    certificate isotropy_direct evaluates, read off entrywise."""
     ext = se.ext
-    n = ext.rank
     sign = -1 if se.kind == "symplectic" else 1
-    slots = []
-    for pt in bounds.points:
-        for i in range(n):
-            for j in range(i, n):
-                if i == j and se.kind == "orthogonal":
-                    continue
-                slots.append((pt, i, j))
-    tails = _tails(bounds)
-    slot_classes = [
-        [
-            reduce_class(_defect_system(ext, sign, [(slot, tail)])).vector()
-            for tail in tails
+    slots = [
+        (pt, i, j)
+        for pt in bounds.points
+        for i in range(ext.rank)
+        for j in range(i, ext.rank)
+        if not (i == j and se.kind == "orthogonal")
+    ]
+    K = bounds.max_order
+    # the work is the number of class sums times their size in 64-bit
+    # words: counted at one word each before any class is reduced, and
+    # at its true size once the classes are packed
+    work = _enumeration_work(len(bounds.values), K, len(slots))
+    packed = None
+    if work <= MAX_SEARCH_WORK:
+        units = [
+            [
+                reduce_class(
+                    _defect_system(ext, sign, [(slot, (0,) * k + (1,))])
+                ).vector()
+                for k in range(K)
+            ]
+            for slot in slots
         ]
-        for slot in slots
-    ]
-    target = ext.extension_class().vector()
-    # integer sums over a common denominator are exact and much cheaper
-    vecs = [v for classes in slot_classes for v in classes] + [target]
-    den = math.lcm(*(x.denominator for v in vecs for x in v))
-    slot_classes = [
-        [tuple(int(x * den) for x in v) for v in classes] for classes in slot_classes
-    ]
-    target = tuple(int(x * den) for x in target)
-    zero = (0,) * len(target)  # the sum when there are no slots (rank-1 orthogonal)
-    out: list[GraphSubbundle] = []
-    for choice in itertools.product(range(len(tails)), repeat=len(slots)):
-        chosen = (classes[t] for classes, t in zip(slot_classes, choice))
-        if tuple(map(sum, zip(zero, *chosen))) != target:
-            continue
-        q = _defect_system(
-            ext, sign, [(slot, tails[t]) for slot, t in zip(slots, choice)]
+        packed = _packed_classes(
+            units,
+            ext.extension_class().vector(),
+            bounds.values,
+            64 * (MAX_SEARCH_WORK // max(work, 1)),  # no values: no sums
         )
-        G = _graph_subbundle(ext, lift_rational(ext.p - q), q)
-        if not isotropy_direct(se, G):
-            continue
-        out.append(G)
-        if len(out) >= bounds.cap:
-            break
+    if packed is None:
+        raise FrameMismatch(
+            f"search bounds too large: {len(slots)} slots of"
+            f" {len(bounds.values)}^{K} tails need more than"
+            f" {MAX_SEARCH_WORK} words of class sums (MAX_SEARCH_WORK)"
+        )
+    slot_vecs, target = packed
+    # with no slots (rank-1 orthogonal) q = 0 is the only candidate, and
+    # the budget does not bound the number of tails
+    tails = list(itertools.product(bounds.values, repeat=K)) if slots else []
+    lead = len(slots) - len(slots) // 2
+    # the table side starts at [p] and subtracts: its keys are the sums the
+    # leading slots must reach
+    table: dict[int, list[tuple[int, ...]]] = {}
+    trailing = [[-v for v in vecs] for vecs in slot_vecs[lead:]]
+    for choice, rest in _class_sums(trailing, target):
+        table.setdefault(rest, []).append(choice)
+    out: list[GraphSubbundle] = []
+    for head, total in _class_sums(slot_vecs[:lead], 0):
+        for tail_choice in table.get(total, ()):
+            q = _defect_system(
+                ext,
+                sign,
+                [(slot, tails[t]) for slot, t in zip(slots, head + tail_choice)],
+            )
+            G = _graph_subbundle(ext, lift_rational(ext.p - q), q)
+            if not _unit_lift_isotropic(se, G.beta):
+                continue
+            out.append(G)
+            if len(out) >= bounds.cap:
+                return out
     return out

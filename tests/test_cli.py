@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -281,9 +282,10 @@ def test_search_bounds_flag_overrides(tmp_path, capsys):
 
 
 def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
-    # search_lagrangian already ran isotropy_direct on every hit; the
-    # certificates must not run it again
-    calls = {"graphs": 0, "direct": 0}
+    # search_lagrangian evaluates the form once on every graph it builds,
+    # by its entrywise pairings; neither it nor the certificates run the
+    # generic isotropy_direct
+    calls = {"graphs": 0, "pairings": 0, "direct": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -295,6 +297,9 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     direct = counting("direct", sb.isotropy_direct)
     monkeypatch.setattr(sb, "isotropy_direct", direct)
     monkeypatch.setattr(cli, "isotropy_direct", direct)
+    monkeypatch.setattr(
+        sb, "_unit_lift_isotropic", counting("pairings", sb._unit_lift_isotropic)
+    )
     # the search builds its graphs through the private _graph_subbundle
     monkeypatch.setattr(sb, "_graph_subbundle", counting("graphs", sb._graph_subbundle))
     text = RANK2_SYMMETRIC + (
@@ -304,7 +309,8 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["search", "--machine", f])
     assert code == 0
     assert len(parse_document(out).results) == calls["graphs"] > 0
-    assert calls["direct"] == calls["graphs"]
+    assert calls["pairings"] == calls["graphs"]
+    assert calls["direct"] == 0
 
 
 @pytest.mark.parametrize(
@@ -342,6 +348,45 @@ def test_search_bounds_out_of_range(tmp_path, capsys, bounds):
     code, _, err = run(capsys, ["search", "--bounds", bounds, f])
     assert code == 2
     assert "invalid bounds" in err
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        "points=0,0;order=1;values=0,-1,2",
+        "points=1,2/2",
+        "points=0,1;values=0,1,-1,1",
+        "points=0;values=1,2/2",
+    ],
+)
+def test_search_repeated_bounds_refused(tmp_path, capsys, bounds):
+    # a repeated point would count its slots twice in the class sum but
+    # hold one tail in q; a repeated value would list graphs twice
+    f = write(tmp_path, RANK1_GENERATOR)
+    code, out, err = run(capsys, ["search", "--bounds", bounds, f])
+    assert code == 2
+    assert out == ""
+    assert "invalid bounds" in err and "distinct" in err
+
+
+def test_search_repeated_file_bounds_refused(tmp_path, capsys):
+    text = RANK1_GENERATOR + "bounds.points: 0 1\nbounds.values: 0 1 1\n"
+    code, _, err = run(capsys, ["search", write(tmp_path, text)])
+    assert code == 2
+    assert "invalid bounds: values must be distinct" in err
+
+
+def test_search_oversized_bounds_refused_quickly(tmp_path, capsys):
+    text = "format: symplext/1\nE: -1 -1 -2\nL: 0\np[0; 1,2]: 1\np[0; 2,1]: 1\n"
+    f = write(tmp_path, text)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["search", "--bounds", "points=0,1,2;order=3;values=0,1,-1", f]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert "search bounds too large" in err
 
 
 def test_search_empty(tmp_path, capsys):

@@ -28,7 +28,11 @@ from symplext.prinparts import (
 )
 from symplext.ratfield import INFINITY, PointP1, Poly, RatFunc
 from symplext.subbundles import (
+    MAX_SEARCH_WORK,
     SearchBounds,
+    _enumeration_work,
+    _packed_classes,
+    _unit_lift_isotropic,
     beta_from_subbundle,
     cor6_backward,
     cor6_forward,
@@ -346,6 +350,36 @@ def test_isotropy_triple_agreement_random():
     assert hits[True] > 0 and hits[False] > 0
 
 
+def test_search_pairings_match_isotropy_direct():
+    # the search reads each pairing off beta and alpha entrywise; on
+    # isotropic and non-isotropic graphs of both kinds it must agree with
+    # the form evaluated on RatSectionW members
+    rng = random.Random(113)
+    seen = set()
+    for k in range(120):
+        kind = ("symplectic", "orthogonal")[k % 2]
+        sign = -1 if kind == "symplectic" else 1
+        degrees = ((-1,), (-1, -2), (-1, -2), (-1, -1, -2))[k % 4]
+        src = dual_frame(degrees, 0)
+        sym = sampling.prinhom(
+            rng, src, degrees, max_order=2, symmetry="sym" if sign == -1 else "antisym"
+        )
+        p = sym + sampling.coboundary_prinhom(rng, src, degrees, max_order=1)
+        check = check_symplectic if sign == -1 else check_orthogonal
+        se = check(ExtensionData(degrees, 0, p))
+        g = sampling.rathom(rng, src, degrees, max_order=1)
+        if k % 3:
+            # t(beta) + sign beta = alpha: isotropic
+            beta = g - transpose_hom(g).scale(sign) + se.alpha.scale(Fraction(sign, 2))
+        else:
+            beta = g
+        G = graph_subbundle(se.ext, beta)
+        verdict = isotropy_direct(se, G)
+        assert _unit_lift_isotropic(se, G.beta) == verdict
+        seen.add((kind, verdict))
+    assert len(seen) == 4
+
+
 def test_symmetric_class_with_asymmetric_tails_not_isotropic():
     rng = random.Random(109)
     ext = make_ext(
@@ -455,6 +489,76 @@ def test_search_bounds_validation():
         SearchBounds(points=(P0,), cap=0)
 
 
+@pytest.mark.parametrize(
+    "points, values",
+    [
+        ((P0, P0), (0, -1, 2)),
+        ((P1, PointP1.finite(Fraction(2, 2))), (0, 1)),
+        ((P0, P1), (0, 1, 1)),
+        ((P0, P1), (1, Fraction(2, 2))),
+    ],
+)
+def test_search_bounds_reject_repeats(points, values):
+    # a repeated point would count its slots twice in the class sum while
+    # q holds one tail there; a repeated value lists every graph twice
+    with pytest.raises(FrameMismatch, match="distinct"):
+        SearchBounds(points=points, values=values)
+
+
+def test_packed_class_sums_compare_as_the_classes():
+    # packing each class into one integer must be one to one on every sum
+    # the search compares: sum of one class per slot against the target
+    rng = random.Random(127)
+    for _ in range(20):
+        n_slots, K, dim = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 4)
+        units = [
+            [[sampling.fraction(rng, 40, 6) for _ in range(dim)] for _ in range(K)]
+            for _ in range(n_slots)
+        ]
+        values = [sampling.fraction(rng, 9, 3) for _ in range(3)]
+        target = [sampling.fraction(rng, 40, 6) for _ in range(dim)]
+        vecs, packed_target = _packed_classes(units, target, values, 1 << 16)
+        classes = [
+            [
+                tuple(sum(c * u[i] for c, u in zip(tail, slot)) for i in range(dim))
+                for tail in itertools.product(values, repeat=K)
+            ]
+            for slot in units
+        ]
+        sums = {}
+        for choice in itertools.product(*(range(len(v)) for v in vecs)):
+            packed = sum(v[t] for v, t in zip(vecs, choice))
+            exact = tuple(map(sum, zip(*(c[t] for c, t in zip(classes, choice)))))
+            assert sums.setdefault(packed, exact) == exact
+            assert (packed == packed_target) == (exact == tuple(target))
+        assert len(set(sums.values())) == len(sums)
+
+
+def test_search_budget():
+    assert _enumeration_work(3, 2, 9) == 9**4 + 9**5 <= MAX_SEARCH_WORK
+    assert _enumeration_work(2, 1, 0) == 2
+    assert _enumeration_work(1, 10**9, 40) == 2
+    assert _enumeration_work(3, 3, 18) > MAX_SEARCH_WORK
+    assert _enumeration_work(2, 10**9, 3) > MAX_SEARCH_WORK
+    # the README case: the budget does not depend on the cap, so cap 1
+    # shows the uncapped search is allowed
+    readme = make_ext((-1, -2), parts={P0: [[(), (1,)], [(1,), ()]]})
+    bounds = SearchBounds((P0, P1, INFINITY), 2, (0, 1, -1), cap=1)
+    assert len(search_lagrangian(check_symplectic(readme), bounds)) == 1
+    se = check_symplectic(make_ext((-1, -1, -2)))
+    with pytest.raises(FrameMismatch, match="search bounds too large"):
+        search_lagrangian(se, SearchBounds((P0, P1, P2), 3, (0, 1, -1)))
+    # 39,366 sums pass the count, but not at 200-bit width
+    line = check_symplectic(make_ext((-1,)))
+    narrow = SearchBounds((P0, P1), 9, (0, 1, Fraction(1, 2)), cap=1)
+    assert len(search_lagrangian(line, narrow)) == 1
+    wide = SearchBounds((P0, P1), 9, (0, 1, Fraction(1, 2**200)))
+    with pytest.raises(FrameMismatch, match="search bounds too large"):
+        search_lagrangian(line, wide)
+    # an empty value pool has no candidates and costs nothing
+    assert search_lagrangian(line, SearchBounds((P0, P1), 1, ())) == []
+
+
 def test_search_rank_one_all_candidates_qualify():
     ext = make_ext((-1,), parts={P0: [[(1,)]]})
     se = check_symplectic(ext)
@@ -527,7 +631,11 @@ def _search_by_rejection(se, bounds):
 
 
 PH = PointP1.finite(Fraction(1, 2))
+PT = PointP1.finite(Fraction(1, 3))
 ONES3 = [[(1,)] * 3 for _ in range(3)]
+HALVES3 = [[(Fraction(1, 2),)] * 3 for _ in range(3)]
+# fractional values: the slot classes and the sums have denominators
+FRACS = (Fraction(1, 2), 0, Fraction(-2, 3))
 
 
 # every case has more hits than its cap, and none of the value pools
@@ -560,8 +668,48 @@ ONES3 = [[(1,)] * 3 for _ in range(3)]
             check_orthogonal,
             SearchBounds((P1, INFINITY), 1, (1, 0, -1), cap=2),
         ),
+        (
+            (-1,),
+            {P0: [[(Fraction(1, 2),)]]},
+            check_symplectic,
+            SearchBounds((PT, P0, INFINITY), 2, FRACS, cap=5),
+        ),
+        (
+            (-1, -2),
+            {PT: [[(), (Fraction(1, 2),)], [(Fraction(1, 2),), ()]]},
+            check_symplectic,
+            SearchBounds((PT,), 2, FRACS, cap=2),
+        ),
+        (
+            (-1, -2),
+            {P0: [[(), (Fraction(1, 2),)], [(Fraction(-1, 2),), ()]]},
+            check_orthogonal,
+            SearchBounds((PT, P0, INFINITY), 2, FRACS, cap=4),
+        ),
+        (
+            (-1, -1, -1),
+            {PT: HALVES3},
+            check_symplectic,
+            SearchBounds((PT,), 2, (Fraction(1, 2), 0), cap=3),
+        ),
+        (
+            (-1, -1, -2),
+            {PT: [[(), (), (Fraction(1, 2),)], [(), (), ()], [(Fraction(-1, 2),), (), ()]]},
+            check_orthogonal,
+            SearchBounds((PT, INFINITY), 1, FRACS, cap=2),
+        ),
     ],
-    ids=["rank2-symplectic", "rank2-orthogonal", "rank3-symplectic", "rank3-orthogonal"],
+    ids=[
+        "rank2-symplectic",
+        "rank2-orthogonal",
+        "rank3-symplectic",
+        "rank3-orthogonal",
+        "rank1-symplectic-fractional-order2",
+        "rank2-symplectic-fractional-order2",
+        "rank2-orthogonal-fractional-order2",
+        "rank3-symplectic-fractional-order2",
+        "rank3-orthogonal-fractional",
+    ],
 )
 def test_search_matches_generate_and_reject(degrees, parts, check, bounds):
     se = check(make_ext(degrees, parts=parts))

@@ -155,6 +155,25 @@ def test_parse_bounds_fields_match_the_records():
         parse_bounds({"order": "2"})
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "bounds.points: 0 0\n",
+        "bounds.points: 1 inf 2/2\n",
+        "bounds.points: 0 1\nbounds.values: 0 1 1\n",
+        "bounds.points: 0\nbounds.values: 1 2/2\n",
+    ],
+)
+def test_bounds_repeats_are_a_parse_error(lines):
+    # repeats are compared as parsed numbers: 1 and 2/2 collide
+    text = f"format: symplext/1\nE: -1\nL: 0\n{lines}"
+    with pytest.raises(ParseError, match="^invalid bounds: (points|values) must be distinct$"):
+        parse_document(text)
+    fields = dict(line[len("bounds."):].split(": ") for line in lines.splitlines())
+    with pytest.raises(ParseError, match="must be distinct"):
+        parse_bounds(fields)
+
+
 @pytest.mark.parametrize("line", ["bounds.order: 0", "bounds.cap: 0"])
 def test_bounds_out_of_range_is_a_parse_error(line):
     text = f"format: symplext/1\nE: -1\nL: 0\nbounds.points: 0\n{line}\n"
