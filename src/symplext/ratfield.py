@@ -265,6 +265,10 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
+        ints = self._ints
+        if ints and not any(ints[:-1]):
+            # c*z^m, whose primitive part is z^m: (c*z^m)^k = c^k * z^(m k)
+            return _make((0,) * ((len(ints) - 1) * k) + (1,), self._content**k)
         out, base = _ONE_POLY, self
         while k:
             if k & 1:
@@ -1054,7 +1058,7 @@ def _size_parts(f: RatFunc) -> tuple[int, int, int]:
         if not p._ints:
             return 0
         c = p._content
-        top = max(abs(x) for x in p._ints).bit_length()
+        top = max(max(p._ints), -min(p._ints)).bit_length()
         return max(c.numerator.bit_length() + top, c.denominator.bit_length())
 
     return f.num.degree, f.den.degree, max(bits(f.num), bits(f.den))
@@ -1109,6 +1113,54 @@ def _work(a: RatFunc, op: str, b: RatFunc, size: int) -> int:
     return size * size
 
 
+class _PolySum:
+    """A run of polynomial summands added in one pass: integer
+    coefficients over one common denominator, made primitive once, by
+    ratfunc.  It keeps upper bounds on the degree and the coefficient
+    bits of the sum so far, so that the parser can tell, without building
+    that sum, when _check_budget cannot refuse the next summand."""
+
+    __slots__ = ("ints", "den", "top")
+
+    def __init__(self, p: Poly):
+        self.ints: list[int] = []
+        self.den = 1
+        self.top = 0  # at least the largest |ints[i]|
+        self.add("+", p)
+
+    def add(self, op: str, p: Poly) -> None:
+        c = p._content
+        den = lcm(self.den, c.denominator)
+        if den != self.den:
+            r = den // self.den
+            self.ints = [r * x for x in self.ints]
+            self.top *= r
+            self.den = den
+        k = c.numerator * (den // c.denominator)
+        if op == "-":
+            k = -k
+        ints = self.ints
+        if len(ints) < len(p._ints):
+            ints.extend([0] * (len(p._ints) - len(ints)))
+        for i, x in enumerate(p._ints):
+            if x:
+                ints[i] += k * x
+        if p._ints:
+            self.top += abs(k) * max(max(p._ints), -min(p._ints))
+
+    def fits(self, t: RatFunc) -> bool:
+        """True when _check_budget surely passes on this sum plus or minus
+        the polynomial t.  The sum's degree is at most len(ints) - 1, and
+        its coefficient bits (see _size_parts) at most those of top plus
+        one, or of den."""
+        tn, _, tb = _size_parts(t)
+        bits = max(self.top.bit_length() + 1, self.den.bit_length(), 2)
+        return max(len(self.ints) - 1, tn) <= MAX_SIZE and (bits + tb) // 64 <= MAX_SIZE
+
+    def ratfunc(self) -> RatFunc:
+        return RatFunc(_primitive(self.ints, Fraction(1, self.den)))
+
+
 class _ExprParser:
     def __init__(self, toks: list, budget: ParseBudget):
         self.toks = toks
@@ -1136,12 +1188,24 @@ class _ExprParser:
 
     def expr(self) -> RatFunc:
         acc = self.term()
+        run = None  # the sum so far, while it and its summands are polynomials
         while self.peek() in ("+", "-"):
             op = self.take()
             t = self.term()
+            if t.is_polynomial and (run is not None or acc.is_polynomial):
+                # a sum of polynomials charges nothing, and _check_budget
+                # runs on the built sum only when the bounds cannot clear it
+                if run is None:
+                    run = _PolySum(acc.num)
+                if not run.fits(t):
+                    _check_budget(run.ratfunc(), op, t)
+                run.add(op, t.num)
+                continue
+            if run is not None:
+                acc, run = run.ratfunc(), None
             self._charge(_work(acc, op, t, _check_budget(acc, op, t)))
             acc = acc + t if op == "+" else acc - t
-        return acc
+        return acc if run is None else run.ratfunc()
 
     def term(self) -> RatFunc:
         acc = self.unary()

@@ -3,9 +3,10 @@
 A rational map beta : F -> E has a graph inside the rational sections of
 W; its closure G is the rank-n subbundle whose sheaf of sections is the
 kernel of the defect system q = p - prin_of(beta) acting on F.  This
-module builds G concretely: jet conditions at the support of q, module
-bases of sections over both charts, splitting type and degree.  The
-splitting type is read off a shifted weak Popov form of the chart-0 basis,
+module builds G concretely: jet conditions at the support of q, the
+chart-0 module basis of its F-parts, splitting type and degree, and, when
+first read, module bases of sections over both charts.  The splitting
+type is read off a shifted weak Popov form of the chart-0 basis,
 with the condition at infinity folded in as one small matrix; the h^0
 profile scan of splitting_type stays as an independent check.  The module
 also inverts the construction (beta_from_subbundle), runs the regularity
@@ -18,8 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import _linalg as la
@@ -80,30 +82,79 @@ class JetCondition:
         return len(self.rows)
 
 
+_Lattice = tuple[tuple[Poly, ...], ...]
+
+
+class _OnFirstRead:
+    """Default of a dataclass field that is built on first read and kept.
+
+    A value handed to the constructor (dataclasses.replace hands one in)
+    is kept as it is; otherwise build(instance) runs on the first read.
+    Give the field compare=False and repr=False, so that equality and
+    repr do not depend on whether it has been read."""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self  # the constructor's default: nothing handed in
+        try:
+            return obj.__dict__[self._name]
+        except KeyError:
+            value = obj.__dict__[self._name] = self._build(obj)
+            return value
+
+    def __set__(self, obj, value):
+        # reached from the dataclass __init__ only: the frozen dataclass
+        # refuses any later assignment before it gets here
+        if value is not self:
+            obj.__dict__[self._name] = value
+
+
 @dataclass(frozen=True)
 class GraphSubbundle:
     """Graph closure of beta inside W, the extension ext.
 
     q = ext.p - prin_of(beta) is computed once, by graph_subbundle (the
     search hands in the q it built), and everything downstream reads ext
-    and q from here.  basis_0 spans the
-    sections over the z-chart, basis_inf over the u-chart (u = 1/z).
-    Columns are 2n polynomial entries in the chart trivialization of W:
-    the top n rows hold x = s(f) - e where s is the chart's rational
-    splitting (s_zero on the z-chart, s_infinity on the other), the
-    bottom n rows hold the F-part f; on the graph, x = (s - beta)(f).
-    The member coordinates are recovered as e = s(f) - x.  conditions
-    carry the jet systems of q at its support (the point at infinity
-    included, acting on u-jets)."""
+    and q from here.  conditions carry the jet systems of q at its
+    support (the point at infinity included, acting on u-jets).
+
+    graph_subbundle builds eagerly what the printed invariants need: q,
+    conditions, f_basis_0 (the chart-0 lattice of F-sections that satisfy
+    the finite conditions, checked to have rank n), the degree and the
+    splitting type read off f_basis_0 (checked against the degree).
+
+    The two chart lattices are built on first read, with their checks:
+    basis_0 spans the sections over the z-chart, basis_inf those over the
+    u-chart (u = 1/z).  Columns are 2n polynomial entries in the chart
+    trivialization of W: the top n rows hold x = s(f) - e where s is the
+    chart's rational splitting (s_zero on the z-chart, s_infinity on the
+    other), the bottom n rows hold the F-part f; on the graph,
+    x = (s - beta)(f), and every x must come out a polynomial.  On the
+    z-chart the F-parts are f_basis_0; on the u-chart they are the module
+    basis of the u-chart conditions, which must have rank n.  A failed
+    check raises InternalLiftFailure at that first read.  The member
+    coordinates are recovered as e = s(f) - x.  Equality and repr leave
+    out f_basis_0 and the lattices, which ext and beta determine."""
 
     ext: ExtensionData
     beta: RatHom
     q: PrinHom
     conditions: tuple[JetCondition, ...]
-    basis_0: tuple[tuple[Poly, ...], ...]
-    basis_inf: tuple[tuple[Poly, ...], ...]
     splitting: tuple[int, ...]
     degree: int
+    f_basis_0: _Lattice = field(compare=False, repr=False)
+    basis_0: _Lattice = field(
+        default=_OnFirstRead(lambda G: _chart_0_lattice(G)), compare=False, repr=False
+    )
+    basis_inf: _Lattice = field(
+        default=_OnFirstRead(lambda G: _chart_inf_lattice(G)), compare=False, repr=False
+    )
 
     @property
     def rank(self) -> int:
@@ -116,6 +167,17 @@ class GraphSubbundle:
     @property
     def e_frame(self) -> tuple[int, ...]:
         return self.beta.dst
+
+    @cached_property
+    def _x_map_0(self) -> RatHom:
+        # s_0 - beta, which takes the F-part of a chart-0 column to its
+        # x-part; the chart-0 lattice and regularity_check share it
+        return self.ext.s_zero() - self.beta
+
+    @cached_property
+    def _x_map_inf(self) -> list[list[RatFunc]]:
+        # the u-chart matrix of s_inf - beta, likewise on the u-chart
+        return _beta_inf_chart(self.ext.s_infinity() - self.beta)
 
 
 def _poly_jets(f: Poly, a: Fraction, K: int) -> list[Fraction]:
@@ -258,13 +320,17 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     """Graph closure of a rational map beta : F -> E inside W.
 
     Solves the jet systems of q = p - prin_of(beta) at each support
-    point, assembles module bases of the kernel sheaf over both charts
-    (lifted to W by f |-> (beta f, f), stored in the chart
-    trivializations), and computes the degree from the length of q.  The
-    splitting type comes from the chart-0 basis of the finite conditions
+    point, builds the chart-0 module basis of the F-sections satisfying
+    the finite conditions (it must have rank n), and computes the degree
+    from the length of q.  The splitting type comes from that basis
     reduced to shifted weak Popov form, whose column degrees give the
-    h^0 profile of that lattice, and from the condition at infinity acting
-    on the jets of the coefficients (see _reduced_splitting): no h^0 scan.
+    h^0 profile of its lattice, and from the condition at infinity acting
+    on the jets of the coefficients (see _reduced_splitting): no h^0
+    scan.  The type must have n entries summing to the degree.
+
+    The chart lattices basis_0 and basis_inf, the module bases lifted to
+    W by f |-> (beta f, f) in the chart trivializations, are built when
+    first read, and their checks run then (see GraphSubbundle).
     """
     if beta.src != ext.f_frame or beta.dst != ext.e_frame:
         raise FrameMismatch("beta must map the dual frame to E")
@@ -279,29 +345,6 @@ def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbu
     fbasis = _module_basis(n, fin)
     if len(fbasis) != n:
         raise InternalLiftFailure("chart-0 kernel lattice is not rank n")
-    # x = (s_0 - beta) f has no finite tails on the kernel lattice
-    a0 = ext.s_zero() - beta
-    basis_0 = []
-    for col in fbasis:
-        fcol = [RatFunc(p) for p in col]
-        xcol = a0.apply(fcol)
-        basis_0.append(
-            tuple(_as_poly(v, "graph chart-0 lift") for v in xcol)
-            + tuple(col)
-        )
-    uconds = _u_chart_conditions(q)
-    ubasis = _module_basis(n, uconds)
-    if len(ubasis) != n:
-        raise InternalLiftFailure("chart-infinity kernel lattice is not rank n")
-    ahat = _beta_inf_chart(ext.s_infinity() - beta)
-    basis_inf = []
-    for col in ubasis:
-        fcol = [RatFunc(p) for p in col]
-        xcol = [la.sum_prod(row, fcol) for row in ahat]
-        basis_inf.append(
-            tuple(_as_poly(v, "graph chart-infinity lift") for v in xcol)
-            + tuple(col)
-        )
     degree = sum(ext.f_frame) - prin_length(q)
     inf = next((c for c in conditions if c.point.is_infinity), None)
     splitting = _reduced_splitting(ext.f_frame, fbasis, inf, degree)
@@ -312,11 +355,33 @@ def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbu
         beta=beta,
         q=q,
         conditions=conditions,
-        basis_0=tuple(basis_0),
-        basis_inf=tuple(basis_inf),
         splitting=splitting,
         degree=degree,
+        f_basis_0=tuple(tuple(col) for col in fbasis),
     )
+
+
+def _chart_0_lattice(G: GraphSubbundle) -> _Lattice:
+    # x = (s_0 - beta) f has no finite tails on the kernel lattice
+    out = []
+    for col in G.f_basis_0:
+        xcol = G._x_map_0.apply([RatFunc(p) for p in col])
+        out.append(tuple(_as_poly(v, "graph chart-0 lift") for v in xcol) + col)
+    return tuple(out)
+
+
+def _chart_inf_lattice(G: GraphSubbundle) -> _Lattice:
+    ubasis = _module_basis(G.rank, _u_chart_conditions(G.q))
+    if len(ubasis) != G.rank:
+        raise InternalLiftFailure("chart-infinity kernel lattice is not rank n")
+    out = []
+    for col in ubasis:
+        fcol = [RatFunc(p) for p in col]
+        xcol = [la.sum_prod(row, fcol) for row in G._x_map_inf]
+        out.append(
+            tuple(_as_poly(v, "graph chart-infinity lift") for v in xcol) + tuple(col)
+        )
+    return tuple(out)
 
 
 # ============================================================
@@ -515,10 +580,9 @@ def regularity_check(G: GraphSubbundle) -> bool:
     """
     n = G.rank
     beta = G.beta
-    a0 = G.ext.s_zero() - beta
     for col in G.basis_0:
         fcol = [RatFunc(p) for p in col[n:]]
-        xcol = a0.apply(fcol)
+        xcol = G._x_map_0.apply(fcol)
         for i in range(n):
             if not xcol[i].is_polynomial:
                 return False
@@ -527,7 +591,7 @@ def regularity_check(G: GraphSubbundle) -> bool:
         ecol = beta.apply(fcol)
         if any(not v.is_polynomial for v in ecol):
             return False
-    ahat = _beta_inf_chart(G.ext.s_infinity() - beta)
+    ahat = G._x_map_inf
     bhat = _beta_inf_chart(beta)
     for col in G.basis_inf:
         fcol = [RatFunc(p) for p in col[n:]]
@@ -754,12 +818,13 @@ def cor6_backward(ext: ExtensionData, G: GraphSubbundle) -> PrinHom:
 # ============================================================
 
 
-# Largest meet-in-the-middle enumeration search_lagrangian runs: its table
+# Largest search search_lagrangian runs: its meet-in-the-middle table
 # entries plus walked choices (see _enumeration_work), each counted by the
-# 64-bit words of its packed class sum.  The uncapped README case needs
-# 9^4 + 9^5 = 65,610 one-word sums.  The largest table it allows holds
-# 50,000 one-word entries; the highest peak RSS measured for an allowed
-# search was 46 MiB (rank 1, two points, 50,000 values).
+# 64-bit words of its packed class sum, plus the work the order adds (see
+# _order_work).  The uncapped README case needs 9^4 + 9^5 = 65,610
+# one-word sums and 1,764 for its order 2.  The largest table it allows
+# holds 50,000 one-word entries; the highest peak RSS measured for an
+# allowed search was 46 MiB (rank 1, two points, 50,000 values).
 MAX_SEARCH_WORK = 100_000
 
 
@@ -816,6 +881,15 @@ def _enumeration_work(n_values: int, order: int, n_slots: int) -> int:
         return MAX_SEARCH_WORK + 1  # T^ceil(s/2) >= 2^(order * ceil(s/2))
     T = n_values**order
     return T**half + T ** (n_slots - half)
+
+
+def _order_work(n_slots: int, order: int, jets: int) -> int:
+    """The work the order adds to the class sums: the n_slots * order
+    unit tails, each reduced over up to order coefficients, and the jet
+    system of one hit, jets = rank * |points| * order jet coordinates,
+    eliminated in about jets^3 steps.  One value makes T = 1 at any
+    order, so the class sums alone do not bound it."""
+    return n_slots * order * order + jets**3
 
 
 def _bounded_lcm(dens, bits: int) -> int | None:
@@ -924,13 +998,15 @@ def search_lagrangian(
     table entries in product order, so the hits, their order and the cut
     at the cap are those of the full product, at a cost of
     T^floor(s/2) + T^ceil(s/2) class sums instead of T^s.  Bounds whose
-    work, these sums times the 64-bit words of one, passes
-    MAX_SEARCH_WORK raise FrameMismatch: a count past it before any class
-    is reduced, wide sums once the classes are packed.
+    work, these sums times the 64-bit words of one plus the work of the
+    order (_order_work: the unit-tail reductions and one hit's jet
+    system), passes MAX_SEARCH_WORK raise FrameMismatch: a count past it
+    before any class is reduced, wide sums once the classes are packed.
 
-    q and its graph are built only for the hits; the graph is kept when
-    the form vanishes on the graph lifts of the unit basis of F, the
-    certificate isotropy_direct evaluates, read off entrywise."""
+    q and beta are built only for the hits, and the graph only for the
+    hits where the form vanishes on the graph lifts of the unit basis of
+    F, the certificate isotropy_direct evaluates, read off entrywise from
+    beta.  A returned graph has built neither chart lattice."""
     ext = se.ext
     sign = -1 if se.kind == "symplectic" else 1
     slots = [
@@ -942,11 +1018,15 @@ def search_lagrangian(
     ]
     K = bounds.max_order
     # the work is the number of class sums times their size in 64-bit
-    # words: counted at one word each before any class is reduced, and
-    # at its true size once the classes are packed
-    work = _enumeration_work(len(bounds.values), K, len(slots))
+    # words, counted at one word each before any class is reduced and at
+    # its true size once the classes are packed, plus the order's work;
+    # with no slots (rank-1 orthogonal) q = 0 is the only candidate and
+    # has no jet system
+    sums = _enumeration_work(len(bounds.values), K, len(slots))
+    jets = ext.rank * len(bounds.points) * K if slots else 0
+    extra = _order_work(len(slots), K, jets)
     packed = None
-    if work <= MAX_SEARCH_WORK:
+    if sums + extra <= MAX_SEARCH_WORK:
         units = [
             [
                 reduce_class(
@@ -960,13 +1040,14 @@ def search_lagrangian(
             units,
             ext.extension_class().vector(),
             bounds.values,
-            64 * (MAX_SEARCH_WORK // max(work, 1)),  # no values: no sums
+            64 * ((MAX_SEARCH_WORK - extra) // max(sums, 1)),  # no values: no sums
         )
     if packed is None:
         raise FrameMismatch(
             f"search bounds too large: {len(slots)} slots of"
-            f" {len(bounds.values)}^{K} tails need more than"
-            f" {MAX_SEARCH_WORK} words of class sums (MAX_SEARCH_WORK)"
+            f" {len(bounds.values)}^{K} tails and jet systems of {jets}"
+            f" jets need more than {MAX_SEARCH_WORK} words of work"
+            " (MAX_SEARCH_WORK)"
         )
     slot_vecs, target = packed
     # with no slots (rank-1 orthogonal) q = 0 is the only candidate, and
@@ -987,10 +1068,10 @@ def search_lagrangian(
                 sign,
                 [(slot, tails[t]) for slot, t in zip(slots, head + tail_choice)],
             )
-            G = _graph_subbundle(ext, lift_rational(ext.p - q), q)
-            if not _unit_lift_isotropic(se, G.beta):
+            beta = lift_rational(ext.p - q)
+            if not _unit_lift_isotropic(se, beta):
                 continue
-            out.append(G)
+            out.append(_graph_subbundle(ext, beta, q))
             if len(out) >= bounds.cap:
                 return out
     return out

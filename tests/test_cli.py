@@ -490,6 +490,94 @@ def test_internal_failure_exits_4(tmp_path, capsys, monkeypatch, command):
     assert err.startswith("internal error: splitting type")
 
 
+def _lattice_runs():
+    from test_golden import RUNS
+
+    return {
+        stem: argv
+        for stem, argv in RUNS.items()
+        if stem.endswith(".machine") and argv[0] in ("subbundle", "isotropy", "search")
+    }
+
+
+@pytest.mark.parametrize("stem", sorted(_lattice_runs()))
+def test_commands_build_only_the_lattices_they_read(capsys, monkeypatch, stem):
+    # a graph builds its chart-0 F-lattice; its chart lattices wait for a
+    # read.  isotropy and search read neither; subbundle reads both through
+    # regularity_check, the u-chart one costing one more module basis
+    argv = _lattice_runs()[stem]
+    calls = {"_graph_subbundle": 0, "_module_basis": 0, "_u_chart_conditions": 0}
+
+    def counting(name):
+        real = getattr(sb, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(sb, name, counting(name))
+    main(argv)
+    out = capsys.readouterr().out
+    graphs = calls["_graph_subbundle"]
+    doc = parse_document(out)
+    if doc.structure is False:  # no structure, so no graph
+        assert graphs == 0
+    elif argv[0] == "search":
+        assert graphs == len(doc.results)
+    else:
+        assert graphs == 1
+    uchart = calls["_u_chart_conditions"]
+    assert calls["_module_basis"] == graphs + uchart
+    if argv[0] != "subbundle":
+        assert uchart == 0
+    elif doc.regular:
+        assert uchart == 1
+    else:  # regularity_check stops at the first chart that fails it
+        assert uchart <= 1
+
+
+def test_lattice_check_failing_on_first_read_exits_4(capsys, monkeypatch):
+    # the lifts are checked when the lattices are first read, inside the
+    # command: a failure there is still an internal error, exit 4, and
+    # isotropy, which reads no lattice, runs as before
+    from test_golden import EXPECTED, GOLDEN, RUNS
+
+    def broken(f, what):
+        raise InternalLiftFailure(f"{what} kept a pole; this is a bug")
+
+    monkeypatch.setattr(sb, "_as_poly", broken)
+    code, out, err = run(capsys, ["subbundle", str(GOLDEN / "graph.txt")])
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: graph chart-0 lift kept a pole; this is a bug\n"
+    codes = json.loads((EXPECTED / "exit_codes.json").read_text())
+    for stem in ("10-graph-isotropy", "17-qgraph-isotropy", "21-rank3-isotropy"):
+        code, out, err = run(capsys, RUNS[stem])
+        expected = (EXPECTED / f"{stem}.out").read_text()
+        assert (code, out, err) == (codes[stem], expected, "")
+
+
+@pytest.mark.parametrize("coefficient", [1, 2])
+@pytest.mark.parametrize("order", [100, 10_000])
+def test_search_budget_bounds_the_order(tmp_path, capsys, coefficient, order):
+    # one value makes T = 1 tails per slot at any order; the unit-tail
+    # reductions and the jet system of a hit (coefficient 2 has one) count
+    # against MAX_SEARCH_WORK, so the bounds are refused before any work
+    text = f"format: symplext/1\nE: -1\nL: 0\np[0; 1,1]: {coefficient}\n"
+    f = write(tmp_path, text)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["search", "--bounds", f"points=0,1;order={order};values=1", f]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert "search bounds too large" in err
+
+
 @pytest.mark.parametrize("command", ["subbundle", "isotropy"])
 def test_window_option_is_gone(tmp_path, capsys, command):
     # the splitting scan covers its provable range, so there is no knob

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symplext.ratfield as rfmod
 from symplext._linalg import nullspace, rank, rref
 from symplext.errors import ParseError, UnsupportedPoleField, ZeroDenominator
 from symplext.ratfield import (
     INFINITY,
     MAX_EXPONENT,
     MAX_SIZE,
+    ParseBudget,
     PointP1,
     PolarPart,
     Poly,
@@ -447,6 +449,96 @@ def test_parse_budget_for_sums_and_products():
     assert f.den.degree == MAX_SIZE
     g = parse_ratfunc(" + ".join(f"{k}*z^{MAX_SIZE}" for k in range(1, 300)))
     assert g == RatFunc(Poly.monomial(MAX_SIZE, 299 * 300 // 2))
+
+
+def _summand(rng) -> str:
+    """A random summand: a polynomial term, a power of a binomial, a
+    rational term, or a term with a coefficient of about 3,300 bits, so
+    that two of those pass MAX_SIZE words in a sum."""
+    c = rng.choice(["1", "3", "2/3", "5/7"])
+    k = rng.randint(0, 6)
+    kind = rng.random()
+    if kind < 0.35:
+        return f"{c}*z^{k}"
+    if kind < 0.5:
+        return f"(z - {rng.randint(-2, 2)})^{k}"
+    if kind < 0.65:
+        return f"{c}/(z - {rng.randint(-2, 2)})^{rng.randint(1, 2)}"
+    if kind < 0.94:
+        return str(rng.randint(-9, 9))
+    return f"{rng.randint(1, 3) * 10**1000 + rng.randint(0, 9)}*z^{k}"
+
+
+def _fold(summands, budget):
+    """The sum of the (op, text) summands taken one at a time, with the
+    size check and charge of every step: the reference for expr."""
+    acc = parse_ratfunc(summands[0][1], budget=budget)
+    if summands[0][0] == "-":
+        acc = -acc
+    for op, text in summands[1:]:
+        t = parse_ratfunc(text, budget=budget)
+        budget.left -= rfmod._work(acc, op, t, rfmod._check_budget(acc, op, t))
+        acc = acc + t if op == "+" else acc - t
+    return acc
+
+
+def test_sum_parse_matches_term_by_term_fold():
+    # a run of polynomial summands is added in one pass; the result, the
+    # refusals with their messages, and the charges are those of the fold
+    rng = random.Random(4242)
+    refused = cancelled = 0
+    for case in range(400):
+        count = rng.randint(1, 12)
+        summands = [(rng.choice("+-"), _summand(rng)) for _ in range(count)]
+        if case % 5 == 0:  # cancellation to zero
+            summands += [("-" if op == "+" else "+", t) for op, t in summands]
+        text = " ".join(f"{op} {t}" for op, t in summands).removeprefix("+ ")
+        ref_budget, budget = ParseBudget(len(text)), ParseBudget(len(text))
+        try:
+            ref = _fold(summands, ref_budget)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_ratfunc(text, budget=budget)
+            assert str(got.value) == str(exc)
+            refused += 1
+            continue
+        f = parse_ratfunc(text, budget=budget)
+        assert f == ref, text
+        _assert_canonical(f)
+        assert budget.left == ref_budget.left
+        cancelled += f.is_zero
+    assert refused >= 25 and cancelled >= 40
+
+
+def test_long_sum_takes_one_primitive_part(monkeypatch):
+    # 299 summands of degree MAX_SIZE: the sum is made primitive once
+    calls = []
+    real = rfmod._primitive
+
+    def counting(ints, content):
+        calls.append(len(ints))
+        return real(ints, content)
+
+    monkeypatch.setattr(rfmod, "_primitive", counting)
+    counts = []
+    for n in (2, 3, 299):
+        calls.clear()
+        f = parse_ratfunc(" + ".join(f"{k}*z^{MAX_SIZE}" for k in range(1, n + 1)))
+        assert f == RatFunc(Poly.monomial(MAX_SIZE, n * (n + 1) // 2))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_power_of_a_term_matches_products():
+    # a power of c*z^m is formed directly, without products
+    for c in (1, -3, Fraction(2, 5), Fraction(-7, 4)):
+        for m in range(4):
+            p = Poly.monomial(m, c)
+            out = Poly.one()
+            for k in range(7):
+                assert p**k == out
+                out = out * p
+    assert Poly.zero() ** 0 == Poly.one() and Poly.zero() ** 3 == Poly.zero()
 
 
 # ------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import symplext.subbundles as sb
 from symplext import sampling
 from symplext.bundles import RatHom, dual_frame, transpose_hom
 from symplext.errors import (
@@ -228,6 +229,47 @@ def test_zero_lift_recovers_zero():
     assert beta_from_subbundle(G.basis_0, G.basis_inf, ext) == RatHom.zero(
         (1, 1), (-1, -1)
     )
+
+
+_LAZY_FRAMES = [(-1,), (0,), (-1, -1), (-1, -2), (0, -3), (1, -1, -3), (-1, -1, -2)]
+
+
+def test_lattices_built_on_first_read_random(monkeypatch):
+    # graph_subbundle builds neither chart lattice; the first read builds
+    # each once, with its checks, and equality, hashing and repr read none
+    reads = []
+    for name in ("_chart_0_lattice", "_chart_inf_lattice"):
+        real = getattr(sb, name)
+        monkeypatch.setattr(
+            sb, name, lambda G, real=real, name=name: reads.append(name) or real(G)
+        )
+    rng = random.Random(2031)
+    with_inf = 0
+    for case in range(200):
+        E = _LAZY_FRAMES[case % len(_LAZY_FRAMES)]
+        ell = rng.randint(-1, 1)
+        F = dual_frame(E, ell)
+        # the poles of beta, at infinity on some, avoid the finite glue
+        # points of p, so that beta is regular on its graph
+        pts = sampling.points(rng, 4, allow_infinity=True)
+        glue = [x for x in pts if not x.is_infinity][: rng.randint(1, 2)]
+        poles = [x for x in pts if x not in glue][: rng.randint(1, 2)]
+        ext = sampling.extension(rng, E, ell, pts=glue, max_order=2)
+        beta = sampling.rathom(rng, F, E, pts=poles, max_order=2)
+        G, H = graph_subbundle(ext, beta), graph_subbundle(ext, beta)
+        with_inf += any(c.point.is_infinity for c in G.conditions)
+        assert G == H and hash(G) == hash(H) and repr(G) == repr(H)
+        assert reads == []
+        assert regularity_check(G)
+        assert reads == ["_chart_0_lattice", "_chart_inf_lattice"]
+        assert beta_from_subbundle(G.basis_0, G.basis_inf, ext) == beta
+        assert tuple(col[len(E):] for col in G.basis_0) == G.f_basis_0
+        # G read, H not
+        assert G == H and hash(G) == hash(H) and repr(G) == repr(H)
+        assert G == dataclasses.replace(G) and dataclasses.replace(H) == H
+        assert len(reads) == 4  # replace read H's lattices, and kept G's
+        reads.clear()
+    assert with_inf >= 100
 
 
 def test_vertical_lattice_rejected():
