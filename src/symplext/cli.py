@@ -57,6 +57,7 @@ from .prinparts import (
     PrinHom,
     cech_class,
     cocycle_of,
+    has_prin,
     lift_rational,
     prin_length,
     prin_of,
@@ -364,15 +365,34 @@ def _suite_parser(rng) -> int:
 
 
 def _suite_classes(rng) -> int:
+    # the frames are self-dual, so t(p) is in the frame of p
     for _ in range(40):
         p = sampling.prinhom(rng, (1, 2), (-1, -2), max_order=2)
+        c = reduce_class(p)
         _check(
-            cech_class(cocycle_of(p), p.src, p.dst) == reduce_class(p),
+            cech_class(cocycle_of(p), p.src, p.dst) == c,
             "class of the cocycle of p is not [p]",
         )
         _check(transpose_prin(transpose_prin(p)) == p, "transpose is no involution")
         cb = sampling.coboundary_prinhom(rng, (1, 2), (-1, -2))
         _check(reduce_class(cb).is_zero, "coboundary with a nonzero class")
+        # the identities the structure check rests on
+        for sign in (1, -1):
+            _check(
+                reduce_class(transpose_prin(p) + p.scale(sign))
+                == c.transpose() + c.scale(sign),
+                "class of t(p) + sign p is not read off [p]",
+            )
+            s = transpose_prin(cb) + cb.scale(sign)
+            lift = lift_rational(s)
+            _check(
+                transpose_hom(lift) == lift.scale(sign),
+                "lift of a sign-symmetric coboundary is not sign-symmetric",
+            )
+            _check(
+                has_prin(lift, s) and prin_of(lift) == s,
+                "lift of a coboundary lost its tails",
+            )
     return 40
 
 

@@ -6,8 +6,9 @@ recorded by a principal part system p : F -> E (:class:`ExtensionData`).
 W carries an O(ell)-valued symplectic form restricting to zero on E
 exactly when the class of p is symmetric, and an orthogonal one exactly
 when it is antisymmetric.  :func:`check_symplectic` and
-:func:`check_orthogonal` decide this and, on success, produce the rational
-midpoint correction alpha that turns the naive pairing into the form.
+:func:`check_orthogonal` decide this from the class of p alone and, on
+success, produce the rational correction alpha that turns the naive
+pairing into the form.
 
 Members of W over the rational function field are pairs (e, phi); the
 form is evaluated by :func:`SymplecticExtension.theta`.  The same form
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Sequence
 
 from . import _linalg as la
@@ -31,7 +31,6 @@ from .bundles import (
     SplitBundle,
     TransitionData,
     dual_frame,
-    transpose_hom,
 )
 from .errors import (
     DegenerateB,
@@ -48,8 +47,8 @@ from .prinparts import (
     cech_class,
     class_dim,
     cocycle_of,
+    has_prin,
     lift_rational,
-    prin_of,
     reduce_class,
     transpose_prin,
 )
@@ -117,6 +116,12 @@ class ExtensionData:
         return self.twist.ell
 
     def extension_class(self) -> CohClass:
+        """The class [p], reduced once per extension and cached: the
+        structure checks and the search read it."""
+        return self._class
+
+    @cached_property
+    def _class(self) -> CohClass:
         return reduce_class(self.p)
 
     def s_zero(self) -> RatHom:
@@ -176,28 +181,36 @@ class ExtensionData:
 
 
 def _structure_alpha(ext: ExtensionData, sign: int):
-    """Common core: lift s = t(p) + sign * p and average to the
-    (anti)symmetric representative; None when the class obstructs."""
-    s = transpose_prin(ext.p) + ext.p.scale(sign)
-    cls = reduce_class(s)
-    if not cls.is_zero:
+    """Common core: the canonical lift of s = t(p) + sign * p, or None
+    when its class obstructs.
+
+    The class map is linear, so the class of s is c.transpose() +
+    c.scale(sign) for the cached c = [p]: it vanishes iff c.transpose()
+    is -sign * c, and an obstructed extension builds no s.  The lift
+    needs no symmetrizing: each entry of lift_rational(s) is linear in
+    the tails of s_ij and its twist, both symmetric in (i, j) up to the
+    sign, so the lift already satisfies t(alpha) = sign * alpha.  That it
+    has exactly the tails of s is checked on the support of s, without a
+    search for its poles.
+    """
+    c = ext.extension_class()
+    if c.transpose() != (c if sign < 0 else -c):
         return None
-    a0 = lift_rational(s)
-    ta0 = transpose_hom(a0)
-    half = Fraction(1, 2)
-    avg = (a0 + ta0.scale(sign)).scale(half)
-    if prin_of(avg) != s:
-        raise InternalLiftFailure(
-            "averaged lift lost principal parts; this is a bug"
-        )
-    return avg
+    tp = transpose_prin(ext.p)
+    s = tp + ext.p if sign > 0 else tp - ext.p
+    alpha = lift_rational(s)
+    if not has_prin(alpha, s):
+        raise InternalLiftFailure("lift lost principal parts; this is a bug")
+    return alpha
 
 
 def check_symplectic(ext: ExtensionData) -> "SymplecticExtension | None":
     """Symplectic structure on the extension, or None.
 
-    One exists iff the class of t(p) - p vanishes; the witness alpha is
-    the antisymmetric rational map with exactly those tails.
+    One exists iff the class of t(p) - p vanishes, which is read off the
+    class of p as c.transpose() - c; the witness alpha is the canonical
+    lift of t(p) - p, antisymmetric as it stands, and its tails are
+    checked against t(p) - p on the support alone.
     """
     alpha = _structure_alpha(ext, -1)
     if alpha is None:
@@ -208,8 +221,27 @@ def check_symplectic(ext: ExtensionData) -> "SymplecticExtension | None":
 def check_orthogonal(ext: ExtensionData) -> "OrthogonalExtension | None":
     """Orthogonal structure on the extension, or None.
 
-    One exists iff the class of t(p) + p vanishes; the witness alpha is
-    the symmetric rational map with exactly those tails.
+    One exists iff the class of t(p) + p vanishes, which is read off the
+    class of p as c.transpose() + c; the witness alpha is the canonical
+    lift of t(p) + p, symmetric as it stands, and its tails are checked
+    against t(p) + p on the support alone.
+
+    In rank 2 with E = O(-1)^2 and ell = 0 every entry has twist -2, so
+    the class is one number per entry.  The tails 1/z above the diagonal
+    and -1/(z - 1) below it have the antisymmetric class (-1, 1), and
+    t(p) + p lifts to a symmetric alpha with poles at 0 and 1 off the
+    diagonal:
+
+    >>> from .ratfield import PointP1, ratfunc_text
+    >>> p = PrinHom((1, 1), (-1, -1), {
+    ...     PointP1.finite(0): [[(), (1,)], [(), ()]],
+    ...     PointP1.finite(1): [[(), ()], [(-1,), ()]],
+    ... })
+    >>> oe = check_orthogonal(ExtensionData((-1, -1), 0, p))
+    >>> [[ratfunc_text(oe.alpha[i, j]) for j in range(2)] for i in range(2)]
+    [['0', '(-1)/(z^2 - z)'], ['(-1)/(z^2 - z)', '0']]
+    >>> check_symplectic(ExtensionData((-1, -1), 0, p)) is None
+    True
     """
     alpha = _structure_alpha(ext, +1)
     if alpha is None:

@@ -44,6 +44,7 @@ __all__ = [
     "reduce_class",
     "is_coboundary",
     "lift_rational",
+    "has_prin",
     "transpose_prin",
     "prin_length",
     "local_condition_matrix",
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 Coeffs = tuple[Fraction, ...]
+IntTail = tuple[tuple[int, ...], int]
 
 
 def _trim(coeffs: Iterable) -> Coeffs:
@@ -63,16 +65,33 @@ def _trim(coeffs: Iterable) -> Coeffs:
     return tuple(out)
 
 
+def _int_tail(coeffs: Coeffs) -> IntTail:
+    """(n_1, ..., n_m), d with c_k = n_k / d over the least common
+    denominator d > 0 of the c_k."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+
+
+def _powers(x: int, n: int) -> list[int]:
+    """[1, x, x^2, ..., x^n]."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
 class PrinHom:
     """Principal part system of a rational map between framed split
     bundles.
 
     ``parts`` maps points to matrices of polar coefficient tuples; zero
     tails and empty points are normalized away, so equality of systems is
-    dict equality.
+    dict equality.  :meth:`int_parts` is the same system in integers, built
+    on first use: each tail as integer numerators over one positive
+    denominator, which the closed-form tail transports sum in.
     """
 
-    __slots__ = ("src", "dst", "parts")
+    __slots__ = ("src", "dst", "parts", "_int_parts")
 
     def __init__(self, src, dst, parts: Mapping[PointP1, Sequence[Sequence[Iterable]]]):
         src, dst = as_frame(src), as_frame(dst)
@@ -90,6 +109,7 @@ class PrinHom:
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "parts", norm)
+        object.__setattr__(self, "_int_parts", None)
 
     # -- constructors -------------------------------------------------
 
@@ -122,6 +142,18 @@ class PrinHom:
         mat = self.parts.get(point)
         return mat[i][j] if mat is not None else ()
 
+    def int_parts(self) -> dict[PointP1, tuple[tuple[IntTail, ...], ...]]:
+        """``parts`` with each tail (c_1, ..., c_m) as ((n_1, ..., n_m), d):
+        c_k = n_k / d, d > 0 the least common denominator.  Cached."""
+        got = self._int_parts
+        if got is None:
+            got = {
+                pt: tuple(tuple(_int_tail(c) for c in row) for row in mat)
+                for pt, mat in self.parts.items()
+            }
+            self._int_parts = got
+        return got
+
     def order_at(self, point: PointP1) -> int:
         mat = self.parts.get(point)
         if mat is None:
@@ -153,46 +185,63 @@ class PrinHom:
         if self.src != other.src or self.dst != other.dst:
             raise FrameMismatch("frames differ")
 
-    def _combine(self, other: "PrinHom", op) -> "PrinHom":
+    def _combine(self, other: "PrinHom", sign: int) -> "PrinHom":
+        # self + sign * other, tail by tail
         self._check_same_frame(other)
-        pts = set(self.parts) | set(other.parts)
         parts = {}
-        for pt in pts:
-            mat = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(self.ncols):
-                    a, b = self.entry(pt, i, j), other.entry(pt, i, j)
-                    m = max(len(a), len(b))
-                    row.append(
-                        tuple(
-                            op(
-                                a[k] if k < len(a) else Fraction(0),
-                                b[k] if k < len(b) else Fraction(0),
-                            )
-                            for k in range(m)
-                        )
-                    )
-                mat.append(row)
-            parts[pt] = mat
-        return PrinHom(self.src, self.dst, parts)
+        for pt in set(self.parts) | set(other.parts):
+            rows = tuple(
+                tuple(
+                    _tail_sum(self.entry(pt, i, j), other.entry(pt, i, j), sign)
+                    for j in range(self.ncols)
+                )
+                for i in range(self.nrows)
+            )
+            if any(c for row in rows for c in row):
+                parts[pt] = rows
+        return _prinhom(self.src, self.dst, parts)
 
     def __add__(self, other: "PrinHom") -> "PrinHom":
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PrinHom") -> "PrinHom":
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "PrinHom":
         return self.scale(-1)
 
     def scale(self, c) -> "PrinHom":
         c = as_fraction(c)
+        if not c:
+            return _prinhom(self.src, self.dst, {})
         parts = {
-            pt: [[tuple(c * x for x in cf) for cf in row] for row in mat]
+            pt: tuple(tuple(tuple(c * x for x in cf) for cf in row) for row in mat)
             for pt, mat in self.parts.items()
         }
-        return PrinHom(self.src, self.dst, parts)
+        return _prinhom(self.src, self.dst, parts)
+
+
+def _prinhom(src, dst, parts) -> PrinHom:
+    # a system from frames and parts already in normal form
+    p = object.__new__(PrinHom)
+    p.src, p.dst, p.parts, p._int_parts = src, dst, parts, None
+    return p
+
+
+def _tail_sum(a: Coeffs, b: Coeffs, sign: int) -> Coeffs:
+    """The trimmed tail a + sign * b."""
+    if not b:
+        return a
+    if not a:
+        return b if sign > 0 else tuple(-x for x in b)
+    if len(a) < len(b):
+        a = a + (0,) * (len(b) - len(a))
+    out = list(a)
+    for k, y in enumerate(b):
+        out[k] += sign * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def prin_of(phi: RatHom) -> PrinHom:
@@ -232,11 +281,8 @@ def transpose_prin(p: PrinHom) -> PrinHom:
     s = p.src[0] + p.dst[0]
     if any(a + b != s for a, b in zip(p.src, p.dst)):
         raise FrameMismatch("frame is not self-dual under transpose")
-    parts = {
-        pt: [[mat[j][i] for j in range(len(mat))] for i in range(len(mat[0]))]
-        for pt, mat in p.parts.items()
-    }
-    return PrinHom(p.src, p.dst, parts)
+    parts = {pt: tuple(zip(*mat)) for pt, mat in p.parts.items()}
+    return _prinhom(p.src, p.dst, parts)
 
 
 # ============================================================
@@ -319,25 +365,26 @@ class CohClass:
     def __add__(self, other: "CohClass") -> "CohClass":
         if self.src != other.src or self.dst != other.dst:
             raise FrameMismatch("frames differ")
-        keys = set(self.data) | set(other.data)
-        return CohClass(
-            self.src,
-            self.dst,
-            {
-                k: tuple(a + b for a, b in zip(self.entry(*k), other.entry(*k)))
-                for k in keys
-            },
-        )
+        data = {}
+        for k in set(self.data) | set(other.data):
+            vals = tuple(a + b for a, b in zip(self.entry(*k), other.entry(*k)))
+            if any(vals):
+                data[k] = vals
+        return _cohclass(self.src, self.dst, data)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + other.scale(-1)
 
     def __neg__(self) -> "CohClass":
-        return self.scale(-1)
+        return _cohclass(
+            self.src, self.dst, {k: tuple(-x for x in v) for k, v in self.data.items()}
+        )
 
     def scale(self, c) -> "CohClass":
         c = as_fraction(c)
-        return CohClass(
+        if not c:
+            return _cohclass(self.src, self.dst, {})
+        return _cohclass(
             self.src,
             self.dst,
             {k: tuple(c * x for x in v) for k, v in self.data.items()},
@@ -351,33 +398,66 @@ class CohClass:
         s = self.src[0] + self.dst[0]
         if any(a + b != s for a, b in zip(self.src, self.dst)):
             raise FrameMismatch("frame is not self-dual under transpose")
-        return CohClass(
+        return _cohclass(
             self.src, self.dst, {(j, i): v for (i, j), v in self.data.items()}
         )
+
+
+def _cohclass(src, dst, data) -> CohClass:
+    # a class from frames and entries already in canonical form
+    c = object.__new__(CohClass)
+    c.src, c.dst, c.data = src, dst, data
+    return c
 
 
 def _finite_excess(
     p: PrinHom, i: int, j: int, skip: PointP1 | None = None
 ) -> list[Fraction]:
     """Tail at infinity, orders 1 .. -t-1, that the finite tails of entry
-    (i, j) carry in its twist t (optionally skipping one point).
+    (i, j) carry in its twist t (optionally skipping one point)."""
+    nums, den = _excess_ints(p, i, j, skip)
+    return [Fraction(n, den) for n in nums]
+
+
+def _excess_ints(
+    p: PrinHom, i: int, j: int, skip: PointP1 | None = None
+) -> tuple[list[int], int]:
+    """_finite_excess as integer numerators over one positive denominator.
 
     In u = 1/z the tail c/(z-a)^k reads c u^(t+k) (1 - a u)^(-k), so it
-    adds c * C(k+m-1, m) * a^m at order r, where m = -r-t-k >= 0.  No
-    order goes past -t-1, and a = 0 reaches order -t-k only.
+    adds c * C(k+m-1, m) * a^m at order L + 1 - k - m for m >= 0, with
+    L = -t-1.  No order goes past L, and a = 0 reaches order L + 1 - k
+    only.  With the tail as n_k / d (PrinHom.int_parts) and a = P/Q, a
+    point adds to each order one integer sum of
+    n_k C(k+m-1, m) P^m Q^(L-1-m) over d Q^(L-1).
     """
-    t = p.twist(i, j)
-    out = [Fraction(0)] * max(0, -t - 1)
-    for pt, mat in p.parts.items():
+    L = -p.twist(i, j) - 1
+    out, den = [0] * max(0, L), 1
+    for pt, mat in p.int_parts().items():
         if pt.is_infinity or pt == skip:
             continue
-        a = pt.value
-        for k, c in enumerate(mat[i][j], 1):
-            if not c:
-                continue
-            for m in range(-t - k):
-                out[-t - k - m - 1] += c * math.comb(k + m - 1, m) * a**m
-    return out
+        nums, d = mat[i][j]
+        if not nums or L <= 0:
+            continue
+        P, Q = pt.value.numerator, pt.value.denominator
+        pp, qq = _powers(P, L - 1), _powers(Q, L - 1)
+        # bring the sums so far and this point's to one denominator
+        pden = d * qq[-1]
+        g = math.gcd(den, pden)
+        if pden != g:
+            out = [x * (pden // g) for x in out]
+        mine = den // g
+        den *= pden // g
+        # k + m = r runs over 1 .. L
+        for r in range(1, L + 1):
+            acc = 0
+            for k in range(1, min(r, len(nums)) + 1):
+                n = nums[k - 1]
+                if n:
+                    m = r - k
+                    acc += n * math.comb(r - 1, m) * pp[m] * qq[L - 1 - m]
+            out[L - r] += acc * mine
+    return out, den
 
 
 def _binom(n: int, r: int) -> int:
@@ -393,18 +473,32 @@ def _u_chart_tail(a: Fraction, coeffs: Coeffs, t: int) -> Coeffs:
 
     There c/(z-a)^k reads c u^(t+k) (1 - a u)^(-k), that is
     c (-b)^k u^(t+k) (u-b)^(-k); expanding u^(t+k) at b, it adds
-    c (-b)^k C(t+k, r) b^(t+k-r) at order k - r for r = 0 .. k-1 (the
-    generalized binomial when t + k < 0).
+    c (-1)^k C(t+k, r) b^e at order k - r for r = 0 .. k-1, with
+    e = 2k + t - r (the generalized binomial when t + k < 0).  With
+    c_k = n_k / d and b = Q/P, and e between lo = t + 2 and hi = 2m + t,
+    each order is one integer sum of n_k (-1)^k C(t+k, r) Q^(e-lo)
+    P^(hi-e), times Q^lo / (d P^hi).
     """
-    b = 1 / a
-    out = [Fraction(0)] * len(coeffs)
-    for k, c in enumerate(coeffs, 1):
-        if not c:
+    if not coeffs:
+        return ()
+    nums, d = _int_tail(coeffs)
+    P, Q = a.numerator, a.denominator  # b = 1/a = Q/P
+    lo, hi = t + 2, 2 * len(nums) + t
+    pp, qq = _powers(P, hi - lo), _powers(Q, hi - lo)
+    acc = [0] * len(nums)
+    for k, n in enumerate(nums, 1):
+        if not n:
             continue
-        ck = c * (-b) ** k
+        if k % 2:
+            n = -n
         for r in range(k):
-            out[k - r - 1] += ck * _binom(t + k, r) * b ** (t + k - r)
-    return _trim(out)
+            e = 2 * k + t - r
+            acc[k - r - 1] += n * _binom(t + k, r) * qq[e - lo] * pp[hi - e]
+    while acc and not acc[-1]:
+        acc.pop()
+    num = Q ** max(lo, 0) * P ** max(-hi, 0)
+    den = d * P ** max(hi, 0) * Q ** max(-lo, 0)
+    return tuple(Fraction(x * num, den) for x in acc)
 
 
 def reduce_class(p: PrinHom) -> CohClass:
@@ -412,7 +506,12 @@ def reduce_class(p: PrinHom) -> CohClass:
 
     Per entry subtract from the tail at infinity the tail that the finite
     tails carry there, keeping only the orders no polynomial can reach.
-    What is left are the coefficients c_k, 1 <= k <= -t - 1.
+    What is left are the coefficients c_k, 1 <= k <= -t - 1.  The finite
+    tails are read from p.int_parts(), so each order is one integer sum
+    over one denominator, and a Fraction is made only for the orders of
+    a nonzero entry (see _excess_ints).  The map is linear:
+    the class of t(p) + sign * p is c.transpose() + c.scale(sign) for
+    c = reduce_class(p).
 
     >>> from .ratfield import PointP1
     >>> p = PrinHom((0,), (-2,), {PointP1.finite(1): [[(1,)]]})
@@ -423,21 +522,24 @@ def reduce_class(p: PrinHom) -> CohClass:
     (Fraction(5, 1), Fraction(7, 1))
     """
     data: dict[tuple[int, int], Coeffs] = {}
+    at_inf = p.int_parts().get(INFINITY)
     for i in range(p.nrows):
         for j in range(p.ncols):
-            t = p.twist(i, j)
-            length = max(0, -t - 1)
-            if length == 0:
+            length = -p.twist(i, j) - 1
+            if length <= 0:
                 continue
-            exc = _finite_excess(p, i, j)
-            pinf = p.entry(INFINITY, i, j)
-            vals = tuple(
-                (pinf[k] if k < len(pinf) else Fraction(0)) - exc[k]
+            exc, den = _excess_ints(p, i, j)
+            pinf, d = at_inf[i][j] if at_inf is not None else ((), 1)
+            # pinf / d - exc / den over the denominator lcm(d, den)
+            g = math.gcd(d, den)
+            a, b = den // g, d // g
+            vals = [
+                (pinf[k] * a if k < len(pinf) else 0) - exc[k] * b
                 for k in range(length)
-            )
+            ]
             if any(vals):
-                data[(i, j)] = vals
-    return CohClass(p.src, p.dst, data)
+                data[(i, j)] = tuple(Fraction(v, b * den) for v in vals)
+    return _cohclass(p.src, p.dst, data)
 
 
 def is_coboundary(p: PrinHom) -> bool:
@@ -493,6 +595,38 @@ def lift_rational(p: PrinHom) -> RatHom:
             )
         entries.append(row)
     return RatHom(p.src, p.dst, entries)
+
+
+def has_prin(phi: RatHom, p: PrinHom) -> bool:
+    """True iff prin_of(phi) == p, decided on the support of p with no
+    search for the poles of phi.
+
+    Entry (i, j) has exactly the tails of p when its reduced denominator
+    is prod (z - a)^m_a over the finite points a of p, m_a the length of
+    the tail of p_ij at a (its top coefficient is nonzero, so that is the
+    order of the pole there), which leaves no other pole; and when its
+    tail at each such a and at infinity is that of p_ij.
+    """
+    if phi.src != p.src or phi.dst != p.dst:
+        return False
+    finite = [pt for pt in p.support if not pt.is_infinity]
+    for i in range(p.nrows):
+        for j in range(p.ncols):
+            f = phi[i, j]
+            den = Poly.one()
+            for pt in finite:
+                m = len(p.entry(pt, i, j))
+                if m:
+                    den = den * Poly((-pt.value, 1)) ** m
+            if f.den != den:
+                return False
+            for pt in finite:
+                tail = p.entry(pt, i, j)
+                if tail and f.translate(pt.value).polar0() != tail:
+                    return False
+            if f.flip(p.twist(i, j)).polar0() != p.entry(INFINITY, i, j):
+                return False
+    return True
 
 
 # ============================================================

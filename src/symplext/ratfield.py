@@ -269,13 +269,15 @@ class Poly:
         if ints and not any(ints[:-1]):
             # c*z^m, whose primitive part is z^m: (c*z^m)^k = c^k * z^(m k)
             return _make((0,) * ((len(ints) - 1) * k) + (1,), self._content**k)
+        # square-and-multiply, with no squaring after the last bit of k
         out, base = _ONE_POLY, self
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other._ints:

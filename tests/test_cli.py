@@ -318,8 +318,9 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     [
         ("subbundle", RANK1_SUBBUNDLE, 1),
         ("subbundle", RANK1_GENERATOR + "q[1; 1,1]: 1\n", 1),
-        # the structure check lifts its alpha through prin_of as well
-        ("isotropy", RANK1_ISOTROPY, 2),
+        # the structure check checks its alpha on the support of t(p) - p,
+        # with no prin_of
+        ("isotropy", RANK1_ISOTROPY, 1),
     ],
 )
 def test_graph_commands_run_prin_of_once_per_graph(
@@ -490,6 +491,22 @@ def test_internal_failure_exits_4(tmp_path, capsys, monkeypatch, command):
     assert err.startswith("internal error: splitting type")
 
 
+@pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
+def test_structure_lift_with_wrong_tails_exits_4(tmp_path, capsys, monkeypatch, kind):
+    # a lift that misses the tails of t(p) -+ p is caught by the support
+    # check, not printed as alpha
+    import symplext.forms as forms
+
+    real = forms.lift_rational
+    monkeypatch.setattr(forms, "lift_rational", lambda s: real(s.scale(3)))
+    # one tail off the diagonal: t(p) - p and t(p) + p are both nonzero
+    f = write(tmp_path, LARGE_POINT.replace("p[10000000000000000; 2,1]: 1\n", ""))
+    code, out, err = run(capsys, ["check-structure", "--kind", kind, f])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: lift lost principal parts")
+
+
 def _lattice_runs():
     from test_golden import RUNS
 
@@ -627,6 +644,40 @@ def test_python_dash_m_runs_the_cli():
     codes = json.loads((golden / "expected" / "exit_codes.json").read_text())
     assert proc.stdout == (golden / "expected" / "01-ext-reduce-class.out").read_bytes()
     assert proc.returncode == codes["01-ext-reduce-class"]
+
+
+# a point of height 10^16: trial division for the root of its linear
+# factor would take 10^8 steps
+LARGE_POINT = """\
+format: symplext/1
+E: 0 0
+L: 0
+p[10000000000000000; 1,2]: 1
+p[10000000000000000; 2,1]: 1
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["check-structure", "--kind", "orthogonal"], "alpha[1,2]: (2)/(z - 10000000000000000)"),
+        (["check-structure", "--kind", "symplectic"], "alpha: 0"),
+        (["reduce-class"], "class: 0, coboundary: yes"),
+    ],
+)
+def test_structure_check_at_a_point_of_large_height_ends(tmp_path, argv, line):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "symplext", *argv, write(tmp_path, LARGE_POINT)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines()
 
 
 # ------------------------------------------------------------

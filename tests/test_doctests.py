@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from symplext import _linalg, prinparts, ratfield
+from symplext import _linalg, forms, prinparts, ratfield
 
 
-@pytest.mark.parametrize("module", [ratfield, prinparts, _linalg], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [ratfield, prinparts, forms, _linalg], ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

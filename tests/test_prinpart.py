@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symplext import sampling
-from symplext.bundles import RatHom
+from symplext.bundles import RatHom, dual_frame, transpose_hom
 from symplext.errors import NotACoboundary
+from symplext.forms import ExtensionData, check_orthogonal, check_symplectic
 from symplext.prinparts import (
+    _finite_excess,
     _u_chart_tail,
     CohClass,
     PrinHom,
@@ -18,6 +20,7 @@ from symplext.prinparts import (
     cech_class,
     class_dim,
     cocycle_of,
+    has_prin,
     is_coboundary,
     lift_rational,
     local_condition_matrix,
@@ -303,3 +306,118 @@ def test_closed_form_u_chart_tails_match_ratfunc_route():
             else ()
         )
         assert _u_chart_tail(a, coeffs, t) == expected, (a, coeffs, t)
+
+
+# ------------------------------------------------------------
+# Closed-form structure check against the assembled route
+# ------------------------------------------------------------
+
+# points of large height: trial division for the roots of (z - a) would
+# take minutes at 7^20/3^15
+BIG_POINTS = (PointP1.finite(Fraction(7**20, 3**15)), PointP1.finite(-(10**12)))
+
+
+def _assembled_alpha(ext, sign):
+    """The structure check as an oracle: reduce the PrinHom sum
+    s = t(p) + sign * p and average its lift with its sign-transpose.
+    (None, s) when the class of s obstructs."""
+    s = transpose_prin(ext.p) + ext.p.scale(sign)
+    if not reduce_class(s).is_zero:
+        return None, s
+    a0 = lift_rational(s)
+    return (a0 + transpose_hom(a0).scale(sign)).scale(Fraction(1, 2)), s
+
+
+def _tails_by_assembly(alpha, s):
+    """prin_of(alpha) == s with no root search: alpha minus the assembled
+    finite tails of s is a polynomial, and its tail at infinity is that
+    of s."""
+    for i in range(s.nrows):
+        for j in range(s.ncols):
+            rest = alpha[i, j]
+            for pt in s.support:
+                if not pt.is_infinity and s.entry(pt, i, j):
+                    rest = rest - polar_coeffs_as_ratfunc(pt.value, s.entry(pt, i, j))
+            if not rest.is_polynomial:
+                return False
+            if alpha[i, j].flip(s.twist(i, j)).polar0() != s.entry(INFINITY, i, j):
+                return False
+    return True
+
+
+def _structured_system(rng, degrees, ell, pts):
+    """A system on pts of one of three kinds: random, symmetric plus a
+    coboundary, antisymmetric plus a coboundary (the coboundary's poles
+    are small points)."""
+    src = dual_frame(degrees, ell)
+    kind = rng.choice((None, "sym", "antisym"))
+    p = sampling.prinhom(rng, src, degrees, pts=pts, max_order=3, symmetry=kind)
+    if kind is not None:
+        p = p + sampling.coboundary_prinhom(rng, src, degrees, max_order=2)
+    return p
+
+
+def test_structure_check_matches_assembled_route():
+    rng = random.Random(59)
+    seen = {"obstructed": 0, "exists": 0, "exists at a large point": 0}
+    for case in range(320):
+        rank = 1 + case % 4
+        degrees = tuple(sorted((rng.randint(-5, 1) for _ in range(rank)), reverse=True))
+        ell = rng.randint(-2, 0)
+        pool = list(sampling.POINT_POOL) + list(BIG_POINTS) + [INFINITY]
+        pts = rng.sample(pool, rng.randint(1, 3))
+        ext = ExtensionData(degrees, ell, _structured_system(rng, degrees, ell, pts))
+        big = any(pt in BIG_POINTS for pt in ext.p.support)
+        p = ext.p
+        for i in range(rank):
+            for j in range(rank):
+                L = -p.twist(i, j) - 1
+                for skip in (None, P0):
+                    ref = _reference_excess(p, i, j, skip=skip)
+                    want = [_at(ref, k) for k in range(1, L + 1)]
+                    assert _finite_excess(p, i, j, skip=skip) == want
+        for sign, check in ((-1, check_symplectic), (1, check_orthogonal)):
+            want, s = _assembled_alpha(ext, sign)
+            got = check(ext)
+            assert (got is None) == (want is None), (case, sign)
+            if want is None:
+                seen["obstructed"] += 1
+                continue
+            seen["exists"] += 1
+            seen["exists at a large point"] += big
+            assert got.alpha == want, (case, sign)
+            assert has_prin(got.alpha, s) and _tails_by_assembly(got.alpha, s)
+            if not big:
+                assert prin_of(want) == s
+    # every branch is exercised, on points of small and large height
+    assert min(seen.values()) >= 60, seen
+
+
+def test_u_chart_tails_at_points_of_large_height():
+    rng = random.Random(61)
+    for a in [pt.value for pt in BIG_POINTS] + [Fraction(-(3**15), 7**20)]:
+        for _ in range(40):
+            coeffs = sampling.tail(rng, max_order=4)
+            t = rng.randint(-10, 5)
+            expected = polar_coeffs_as_ratfunc(a, coeffs).flip(t).translate(1 / a).polar0()
+            assert _u_chart_tail(a, coeffs, t) == expected, (a, coeffs, t)
+
+
+def test_has_prin_rejects_extra_poles_and_wrong_tails():
+    P2 = PointP1.finite(2)
+    p = rank1({P0: [[(1,)]], P1: [[(0, 3)]]}, src=(0,), dst=(0,))
+    f = polar_coeffs_as_ratfunc(Fraction(0), (1,)) + polar_coeffs_as_ratfunc(
+        Fraction(1), (0, 3)
+    )
+    assert has_prin(RatHom((0,), (0,), [[f]]), p)
+    # a pole at 2 that p does not have, a wrong order at 1, a wrong
+    # coefficient at 0, a tail at infinity, a different frame
+    for g in (
+        f + polar_coeffs_as_ratfunc(Fraction(2), (5,)),
+        f + polar_coeffs_as_ratfunc(Fraction(1), (0, 0, 1)),
+        f + polar_coeffs_as_ratfunc(Fraction(0), (1,)),
+        f + RatFunc(Poly([0, 1])),
+    ):
+        assert not has_prin(RatHom((0,), (0,), [[g]]), p)
+        assert prin_of(RatHom((0,), (0,), [[g]])) != p
+    assert not has_prin(RatHom((1,), (0,), [[f]]), p)

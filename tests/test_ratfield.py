@@ -541,6 +541,33 @@ def test_power_of_a_term_matches_products():
     assert Poly.zero() ** 0 == Poly.one() and Poly.zero() ** 3 == Poly.zero()
 
 
+def test_power_matches_repeated_products(monkeypatch):
+    # square-and-multiply stops after the last bit of k: bit_length(k) - 1
+    # squarings and popcount(k) products into the result
+    bases = [
+        Poly([1, 1]),
+        Poly([Fraction(1, 3), Fraction(-2, 5)]),
+        Poly([Fraction(-7, 2), 0, Fraction(3, 4), Fraction(1, 6)]),
+    ]
+    real = Poly.__mul__
+    products = []
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    for base in bases:
+        out = Poly.one()
+        for k in range(41):
+            products.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Poly, "__mul__", counting)
+                got = base**k
+            assert got == out, (base, k)
+            assert len(products) == (k.bit_length() - 1 + bin(k).count("1") if k else 0)
+            out = out * base
+
+
 # ------------------------------------------------------------
 # Arithmetic without full gcds against a normalizing reference
 # ------------------------------------------------------------
