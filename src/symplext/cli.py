@@ -293,17 +293,11 @@ def cmd_search(args) -> int:
     found = sorted(found, key=lambda G: "\n".join(prin_lines("q", G.q)))
     records = []
     for G in found:
-        certs = tuple(
-            name
-            for name, ok in (
-                ("prin", isotropy_prin(G.q, kind)),
-                ("linear", isotropy_linear(G.beta, se.alpha, kind)),
-            )
-            if ok
-        )
-        # search_lagrangian keeps only graphs whose unit-basis lift the form
-        # kills, evaluated entrywise: the direct certificate
-        certs += ("direct",)
+        # search_lagrangian keeps only graphs that pass isotropy_linear,
+        # which is also the form on their unit-basis lifts: the linear and
+        # direct certificates
+        certs = ("prin",) if isotropy_prin(G.q, kind) else ()
+        certs += ("linear", "direct")
         records.append(
             ResultRecord(
                 beta=G.beta,
@@ -374,6 +368,19 @@ def _suite_classes(rng) -> int:
             "class of the cocycle of p is not [p]",
         )
         _check(transpose_prin(transpose_prin(p)) == p, "transpose is no involution")
+        # the chart splittings, against tails found by root finding
+        ext = ExtensionData((-1, -2), 0, p)
+        s0, sinf = prin_of(ext.s_zero()).parts, prin_of(ext.s_infinity()).parts
+        _check(
+            {pt: m for pt, m in s0.items() if not pt.is_infinity}
+            == {pt: m for pt, m in p.parts.items() if not pt.is_infinity},
+            "s_zero does not have the finite tails of p",
+        )
+        _check(
+            {pt: m for pt, m in sinf.items() if pt.value != 0}
+            == {pt: m for pt, m in p.parts.items() if pt.value != 0},
+            "s_infinity does not have the tails of p away from 0",
+        )
         cb = sampling.coboundary_prinhom(rng, (1, 2), (-1, -2))
         _check(reduce_class(cb).is_zero, "coboundary with a nonzero class")
         # the identities the structure check rests on

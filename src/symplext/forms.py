@@ -42,11 +42,11 @@ from .errors import (
 from .prinparts import (
     CohClass,
     PrinHom,
+    _s_infinity_entry,
     apply_prin,
     assembled_finite,
     cech_class,
     class_dim,
-    cocycle_of,
     has_prin,
     lift_rational,
     reduce_class,
@@ -143,22 +143,21 @@ class ExtensionData:
 
     def cocycle(self) -> Matrix:
         """Chart-0 matrix of s_0 - s_inf."""
-        return cocycle_of(self.p)
+        return la.mat_sub(self.s_zero().entries, self.s_infinity().entries)
 
     def s_infinity(self) -> RatHom:
-        """Rational splitting on the u-chart: s_0 minus the cocycle."""
+        """Rational splitting on the u-chart: the tails of p away from 0
+        plus the Laurent residual that matches its tails at infinity."""
         return self._s_infinity
 
     @cached_property
     def _s_infinity(self) -> RatHom:
         # every graph built in this extension and its regularity check reuse it
-        T = self.cocycle()
-        s0 = self.s_zero()
         return RatHom(
             self.f_frame,
             self.e_frame,
             [
-                [s0[i, j] - T[i][j] for j in range(self.rank)]
+                [_s_infinity_entry(self.p, i, j) for j in range(self.rank)]
                 for i in range(self.rank)
             ],
         )

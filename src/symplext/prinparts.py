@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import _linalg as la
-from .bundles import RatHom, as_frame
+from .bundles import RatHom, _selfdual_check, as_frame
 from .errors import FrameMismatch, NotACochain, NotACoboundary
 from .ratfield import (
     INFINITY,
@@ -32,8 +32,6 @@ from .ratfield import (
     RatFunc,
     as_fraction,
     full_principal_part,
-    polar_coeffs_as_ratfunc,
-    zpow,
 )
 
 __all__ = [
@@ -260,27 +258,40 @@ def prin_of(phi: RatHom) -> PrinHom:
     return PrinHom(phi.src, phi.dst, parts)
 
 
+def _finite_tails(
+    p: PrinHom, i: int, j: int, skip: PointP1 | None = None
+) -> tuple[Poly, Poly]:
+    """The finite tails of entry (i, j), optionally leaving out one point,
+    summed as num / den in lowest terms.
+
+    den = prod (z - a)^m_a and num = sum_a T_a prod_{b != a} (z - b)^m_b,
+    where T_a = sum_k c_k (z - a)^(m_a - k) is the tail at a over its own
+    pole.  Tails are trimmed and points distinct, so at each root a of den
+    num(a) = c_{m_a} prod_{b != a} (a - b)^m_b != 0: the pair is coprime
+    with no gcd taken.
+    """
+    num, den = Poly.zero(), Poly.one()
+    for pt, mat in p.parts.items():
+        tail = mat[i][j]
+        if pt.is_infinity or pt == skip or not tail:
+            continue
+        a = pt.value
+        pole = Poly((-a, 1)) ** len(tail)
+        num = num * pole + Poly(tail[::-1]).shift(-a) * den
+        den = den * pole
+    return num, den
+
+
 def assembled_finite(p: PrinHom, i: int, j: int) -> RatFunc:
     """Sum of the finite polar tails of entry (i, j) as a rational
-    function."""
-    total = RatFunc.zero()
-    for pt, mat in p.parts.items():
-        if pt.is_infinity:
-            continue
-        coeffs = mat[i][j]
-        if coeffs:
-            total = total + polar_coeffs_as_ratfunc(pt.value, coeffs)
-    return total
+    function, assembled in lowest terms by _finite_tails."""
+    return RatFunc._coprime(*_finite_tails(p, i, j))
 
 
 def transpose_prin(p: PrinHom) -> PrinHom:
     """Pointwise matrix transpose; frames must be self-dual so every
     entry keeps its twist."""
-    if len(p.src) != len(p.dst):
-        raise FrameMismatch("transpose needs a square self-dual frame")
-    s = p.src[0] + p.dst[0]
-    if any(a + b != s for a, b in zip(p.src, p.dst)):
-        raise FrameMismatch("frame is not self-dual under transpose")
+    _selfdual_check(p.src, p.dst)
     parts = {pt: tuple(zip(*mat)) for pt, mat in p.parts.items()}
     return _prinhom(p.src, p.dst, parts)
 
@@ -393,11 +404,7 @@ class CohClass:
     def transpose(self) -> "CohClass":
         """Swap the entry indices; needs a self-dual frame so the twists
         (and so the slot lengths) match up."""
-        if len(self.src) != len(self.dst):
-            raise FrameMismatch("transpose needs a square self-dual frame")
-        s = self.src[0] + self.dst[0]
-        if any(a + b != s for a, b in zip(self.src, self.dst)):
-            raise FrameMismatch("frame is not self-dual under transpose")
+        _selfdual_check(self.src, self.dst)
         return _cohclass(
             self.src, self.dst, {(j, i): v for (i, j), v in self.data.items()}
         )
@@ -410,19 +417,12 @@ def _cohclass(src, dst, data) -> CohClass:
     return c
 
 
-def _finite_excess(
-    p: PrinHom, i: int, j: int, skip: PointP1 | None = None
-) -> list[Fraction]:
-    """Tail at infinity, orders 1 .. -t-1, that the finite tails of entry
-    (i, j) carry in its twist t (optionally skipping one point)."""
-    nums, den = _excess_ints(p, i, j, skip)
-    return [Fraction(n, den) for n in nums]
-
-
 def _excess_ints(
     p: PrinHom, i: int, j: int, skip: PointP1 | None = None
 ) -> tuple[list[int], int]:
-    """_finite_excess as integer numerators over one positive denominator.
+    """Tail at infinity, orders 1 .. -t-1, that the finite tails of entry
+    (i, j) carry in its twist t (optionally skipping one point), as integer
+    numerators over one positive denominator.
 
     In u = 1/z the tail c/(z-a)^k reads c u^(t+k) (1 - a u)^(-k), so it
     adds c * C(k+m-1, m) * a^m at order L + 1 - k - m for m >= 0, with
@@ -547,52 +547,38 @@ def is_coboundary(p: PrinHom) -> bool:
     return reduce_class(p).is_zero
 
 
-def _lift_entry(
-    g: RatFunc, exc: Sequence[Fraction], inf_target: Coeffs, twist: int, tag: str = ""
-) -> RatFunc:
-    """Canonical rational function with the finite tails of g (g must be
-    a pure sum of finite tails, whose tail at infinity is exc) and the
-    given tail at infinity.
-
-    The residual at infinity order k is matched by the monomial z^(k+t);
-    orders with k + t < 0 would need a pole at 0 and are obstructions.
-    """
-    kmax = max(len(inf_target), len(exc))
-    out = g
-    for k in range(1, kmax + 1):
-        want = inf_target[k - 1] if k <= len(inf_target) else Fraction(0)
-        have = exc[k - 1] if k <= len(exc) else Fraction(0)
-        r = want - have
-        if r == 0:
-            continue
-        if k + twist < 0:
-            raise NotACoboundary(
-                f"obstructed at infinity order {k} in twist {twist}{tag}"
-            )
-        out = out + zpow(k + twist) * r
-    return out
-
-
 def lift_rational(p: PrinHom) -> RatHom:
     """The canonical rational map whose polar tails are exactly p.
 
-    Raises NotACoboundary when the class of p is nonzero.  The lift is
-    normalized: its polynomial part has no monomials below the first
-    order needed at infinity.
+    Raises NotACoboundary when the class of p is nonzero, naming the
+    first nonzero order of the first obstructed entry.  Entry (i, j) in
+    twist t is num/den, its finite tails (_finite_tails), plus the
+    monomials pinf_k z^(k+t) for its tail pinf at infinity and k >= -t.
+    The orders k + t < 0 are those of the class, so on a coboundary the
+    finite tails already carry them.  The lift is normalized: its
+    polynomial part has no monomials below the first order needed at
+    infinity.  num + den * P has num's values at the roots of den, so it
+    stays coprime to den.
     """
+    c = reduce_class(p)
+    if not c.is_zero:
+        i, j = min(c.data)
+        k = next(k for k, x in enumerate(c.data[(i, j)], 1) if x)
+        raise NotACoboundary(
+            f"obstructed at infinity order {k} in twist {p.twist(i, j)}"
+            f" of entry ({i}, {j})"
+        )
     entries = []
     for i in range(p.nrows):
         row = []
         for j in range(p.ncols):
-            row.append(
-                _lift_entry(
-                    assembled_finite(p, i, j),
-                    _finite_excess(p, i, j),
-                    p.entry(INFINITY, i, j),
-                    p.twist(i, j),
-                    tag=f" of entry ({i}, {j})",
-                )
-            )
+            num, den = _finite_tails(p, i, j)
+            t = p.twist(i, j)
+            pinf = p.entry(INFINITY, i, j)
+            lo = max(1, -t)  # z^(k+t) is a polynomial for k >= lo
+            if len(pinf) >= lo:
+                num = num + den * Poly((0,) * (lo + t) + pinf[lo - 1 :])
+            row.append(RatFunc._coprime(num, den))
         entries.append(row)
     return RatHom(p.src, p.dst, entries)
 
@@ -674,7 +660,9 @@ def apply_prin(p: PrinHom, sections: Sequence[RatFunc]) -> PrinHom:
 
     sections[j] must be a global section of O(src[j]); the result row i
     collects, point by point, the tails of (tail of p_{ij} there) times
-    sections[j].
+    sections[j].  Each section is a polynomial in the point's uniformizer
+    w, s(z + a) at a finite point and its flip u^src[j] s(1/u) at
+    infinity, so the product's tail is a convolution (_tail_times).
     """
     secs = [s if isinstance(s, RatFunc) else RatFunc.constant(s) for s in sections]
     if len(secs) != p.ncols:
@@ -682,38 +670,31 @@ def apply_prin(p: PrinHom, sections: Sequence[RatFunc]) -> PrinHom:
     for j, s in enumerate(secs):
         if not s.is_global(p.src[j]):
             raise FrameMismatch(f"sections[{j}] is not global for twist {p.src[j]}")
-    parts: dict[PointP1, list[list[Coeffs]]] = {}
+    parts = {}
     for pt in p.support:
-        col: list[list[Coeffs]] = [[()] for _ in range(p.nrows)]
-        hit = False
-        for i in range(p.nrows):
-            if pt.is_infinity:
-                # work in u = 1/z; sections flip to their chart form
-                total = RatFunc.zero()
-                for j in range(p.ncols):
-                    coeffs = p.entry(pt, i, j)
-                    if coeffs:
-                        total = total + polar_coeffs_as_ratfunc(
-                            Fraction(0), coeffs
-                        ) * secs[j].flip(p.src[j])
-                tail = total.polar0() if not total.is_zero else ()
-            else:
-                total = RatFunc.zero()
-                for j in range(p.ncols):
-                    coeffs = p.entry(pt, i, j)
-                    if coeffs:
-                        total = total + polar_coeffs_as_ratfunc(
-                            pt.value, coeffs
-                        ) * secs[j]
-                tail = (
-                    total.translate(pt.value).polar0() if not total.is_zero else ()
-                )
-            if tail:
-                hit = True
-            col[i][0] = tail
-        if hit:
+        if pt.is_infinity:
+            jets = [s.flip(p.src[j]).num for j, s in enumerate(secs)]
+        else:
+            jets = [s.num.shift(pt.value) for s in secs]
+        col = tuple((_tail_times(row, jets),) for row in p.parts[pt])
+        if any(c for (c,) in col):
             parts[pt] = col
-    return PrinHom((0,), p.dst, parts)
+    return _prinhom((0,), p.dst, parts)
+
+
+def _tail_times(tails: Sequence[Coeffs], jets: Sequence[Poly]) -> Coeffs:
+    """The trimmed polar part of sum_j tails[j] * jets[j], each tail
+    sum_k c_k w^(-k) times a polynomial in w: order m collects c_k times
+    the coefficient of w^(k - m)."""
+    out = [Fraction(0)] * max(map(len, tails))
+    for tail, g in zip(tails, jets):
+        for k, c in enumerate(tail, 1):
+            if c:
+                for m in range(1, k + 1):
+                    out[m - 1] += c * g[k - m]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 # ============================================================
@@ -721,34 +702,44 @@ def apply_prin(p: PrinHom, sections: Sequence[RatFunc]) -> PrinHom:
 # ============================================================
 
 
+def _s_infinity_entry(p: PrinHom, i: int, j: int) -> RatFunc:
+    """Entry (i, j) of the u-chart splitting s_inf of p: its tails away
+    from 0 plus the Laurent residual sum_k r_k z^(k+t) in its twist t,
+    r = pinf minus the tail at infinity of those finite tails
+    (_excess_ints), so that the tail at infinity is pinf.
+
+    With num/den the tails away from 0 (_finite_tails, den(0) != 0) and
+    z^-v the lowest power of the residual R, the sum is
+    (num z^v + den R z^v) / (den z^v): the numerator is num(a) a^v != 0
+    at a root a of den and den(0) r_lowest != 0 at 0, so no gcd is taken.
+    """
+    origin = PointP1.finite(0)
+    num, den = _finite_tails(p, i, j, skip=origin)
+    exc, d = _excess_ints(p, i, j, skip=origin)
+    res = _tail_sum(p.entry(INFINITY, i, j), _trim(Fraction(x, d) for x in exc), -1)
+    if not res:
+        return RatFunc._coprime(num, den)
+    low = next(k for k, x in enumerate(res) if x)
+    # res[k] is the coefficient of z^(k + 1 + t); z^v clears the lowest
+    e = 1 + p.twist(i, j)
+    v = max(0, -(low + e))
+    zv = Poly.monomial(v)
+    R = Poly((0,) * max(e + v, 0) + res[max(-(e + v), 0) :])
+    return RatFunc._coprime(num * zv + den * R, den * zv)
+
+
 def cocycle_of(p: PrinHom) -> list[list[RatFunc]]:
     """Chart-0 matrix of the one-cocycle s_0 - s_inf attached to p.
 
-    s_0 realizes the finite tails, s_inf realizes the tails on the chart
-    at infinity (all a != 0, and infinity itself, where the monomial
-    z^(k+t) absorbs the residual order k).  The difference is regular on
-    the overlap: a Laurent matrix.
+    s_0 realizes the finite tails (assembled_finite), s_inf the tails on
+    the chart at infinity: all a != 0, and infinity itself, where the
+    monomial z^(k+t) absorbs the residual order k (_s_infinity_entry).
+    The difference is regular on the overlap: a Laurent matrix.
     """
-    out: list[list[RatFunc]] = []
-    origin = PointP1.finite(0)
-    for i in range(p.nrows):
-        row = []
-        for j in range(p.ncols):
-            t = p.twist(i, j)
-            c0 = p.entry(origin, i, j)
-            p0 = polar_coeffs_as_ratfunc(Fraction(0), c0) if c0 else RatFunc.zero()
-            exc = _finite_excess(p, i, j, skip=origin)
-            pinf = p.entry(INFINITY, i, j)
-            T = p0
-            for k in range(1, max(len(pinf), len(exc)) + 1):
-                want = pinf[k - 1] if k <= len(pinf) else Fraction(0)
-                have = exc[k - 1] if k <= len(exc) else Fraction(0)
-                r = want - have
-                if r != 0:
-                    T = T - zpow(k + t) * r
-            row.append(T)
-        out.append(row)
-    return out
+    return [
+        [assembled_finite(p, i, j) - _s_infinity_entry(p, i, j) for j in range(p.ncols)]
+        for i in range(p.nrows)
+    ]
 
 
 def cech_class(T: Sequence[Sequence[RatFunc]], src, dst) -> CohClass:

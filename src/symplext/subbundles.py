@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import _linalg as la
-from .bundles import RatHom, h0_hom, transpose_hom
+from .bundles import RatHom, _selfdual_check, h0_hom
 from .errors import (
     ClassMismatch,
     FrameMismatch,
@@ -641,9 +641,27 @@ def isotropy_prin(q: PrinHom, kind: str = "symplectic") -> bool:
 
 def isotropy_linear(beta: RatHom, alpha: RatHom, kind: str = "symplectic") -> bool:
     """Exact matrix identity t(beta) - beta = alpha (symplectic) or
-    t(beta) + beta = alpha (orthogonal)."""
+    t(beta) + beta = alpha (orthogonal), entry by entry:
+    beta_jk + sign beta_kj = alpha_kj.
+
+    On the graph lifts m_j = (beta(phi_j), phi_j) of the unit basis phi_j
+    of F the form reads theta(m_j, m_k) = beta_jk + sign beta_kj -
+    alpha_kj, so this is also the pairing test isotropy_direct evaluates
+    on those members.  beta needs a self-dual frame, as for transpose_hom;
+    an alpha in other frames is not equal.
+    """
     sign = _check_kind(kind)
-    return transpose_hom(beta) + beta.scale(sign) == alpha
+    _selfdual_check(beta.src, beta.dst)
+    if alpha.src != beta.src or alpha.dst != beta.dst:
+        return False
+    b, a = beta.entries, alpha.entries
+    n = len(b)
+    for j in range(n):
+        for k in range(n):
+            pair = b[j][k] + b[k][j] if sign == 1 else b[j][k] - b[k][j]
+            if pair != a[k][j]:
+                return False
+    return True
 
 
 def isotropy_direct(se: _StructuredExtension, G: GraphSubbundle) -> bool:
@@ -726,52 +744,33 @@ def _refine_by_conditions(
     kern: list[list[Poly]], conds: Sequence[JetCondition], n: int
 ) -> list[list[Poly]]:
     """Module basis of {combinations of kern columns satisfying the jet
-    conditions}, mapped back to F-coordinates."""
-    if not conds:
-        return [list(c) for c in kern]
+    conditions}, mapped back to F-coordinates.
+
+    The jets of a product convolve, so a row R on the jets (j, s) of
+    f = sum_t c_t kern[t] pulls back to the row on the jets (t, s2) of
+    the combination c with entry sum_j sum_{s >= s2} R[(j, s)]
+    jet_{s-s2}(kern[t][j]); the combinations are the _module_basis of
+    the pulled conditions."""
     k = len(kern)
-    D = _divisor(conds)
-    degD = D.degree
-    # coefficients of the combination vector c in k[z]^k, deg < degD
-    width = k * degD
-    rows = []
+    pulled = []
     for cond in conds:
         K = cond.order
         a = cond.point.value
-        # jets of (kern . c)_j at a are bilinear in kern-jets and c-jets
-        kjets = [
-            [_poly_jets(kern[t][j], a, 2 * K) for j in range(n)]
-            for t in range(k)
-        ]
-        cjets = [_poly_jets(Poly.monomial(c), a, K) for c in range(degD)]
+        kjets = [[_poly_jets(kern[t][j], a, K) for j in range(n)] for t in range(k)]
+        rows = []
         for row in cond.rows:
-            new = [Fraction(0)] * width
-            for t in range(k):
-                for c in range(degD):
-                    acc = Fraction(0)
-                    for j in range(n):
-                        for s in range(K):
-                            w = row[j * K + s]
-                            if not w:
-                                continue
-                            # jet_s of product = sum of jet convolutions
-                            conv = Fraction(0)
-                            for s1 in range(s + 1):
-                                conv += kjets[t][j][s1] * cjets[c][s - s1]
-                            acc += w * conv
-                    if acc:
-                        new[t * degD + c] = acc
-            rows.append(new)
-    kernel = la.nullspace(rows, width)
-    cols = []
-    for vec in kernel:
-        comb = [Poly(tuple(vec[t * degD : (t + 1) * degD])) for t in range(k)]
-        cols.append(comb)
-    for t in range(k):
-        cols.append([D if s == t else Poly.zero() for s in range(k)])
-    cbasis = la.poly_hnf(cols, k)
+            new = [Fraction(0)] * (k * K)
+            for j in range(n):
+                for s in range(K):
+                    w = row[j * K + s]
+                    if w:
+                        for t in range(k):
+                            for s2 in range(s + 1):
+                                new[t * K + s2] += w * kjets[t][j][s - s2]
+            rows.append(tuple(new))
+        pulled.append(JetCondition(cond.point, K, tuple(rows)))
     out = []
-    for comb in cbasis:
+    for comb in _module_basis(k, pulled):
         col = [Poly.zero()] * n
         for t in range(k):
             if not comb[t].is_zero:
@@ -961,21 +960,6 @@ def _class_sums(slot_vecs: Sequence[Sequence[int]], acc: int, choice: tuple = ()
         yield from _class_sums(slot_vecs, acc + v, choice + (t,))
 
 
-def _unit_lift_isotropic(se: _StructuredExtension, beta: RatHom) -> bool:
-    """isotropy_direct by the closed form of its pairings.  On the graph
-    lifts m_j = (beta(phi_j), phi_j) of the unit basis phi_j of F the
-    form reads theta(m_j, m_k) = beta_jk + sign beta_kj - alpha_kj, so
-    each pairing is one entry sum: no member and no dot product."""
-    b, a = beta.entries, se.alpha.entries
-    n = len(b)
-    for j in range(n):
-        for k in range(n):
-            pair = b[j][k] + b[k][j] if se._sign == 1 else b[j][k] - b[k][j]
-            if pair != a[k][j]:
-                return False
-    return True
-
-
 def search_lagrangian(
     se: _StructuredExtension, bounds: SearchBounds
 ) -> list[GraphSubbundle]:
@@ -1006,7 +990,8 @@ def search_lagrangian(
     q and beta are built only for the hits, and the graph only for the
     hits where the form vanishes on the graph lifts of the unit basis of
     F, the certificate isotropy_direct evaluates, read off entrywise from
-    beta.  A returned graph has built neither chart lattice."""
+    beta by isotropy_linear.  A returned graph has built neither chart
+    lattice."""
     ext = se.ext
     sign = -1 if se.kind == "symplectic" else 1
     slots = [
@@ -1069,7 +1054,7 @@ def search_lagrangian(
                 [(slot, tails[t]) for slot, t in zip(slots, head + tail_choice)],
             )
             beta = lift_rational(ext.p - q)
-            if not _unit_lift_isotropic(se, beta):
+            if not isotropy_linear(beta, se.alpha, se.kind):
                 continue
             out.append(_graph_subbundle(ext, beta, q))
             if len(out) >= bounds.cap:

@@ -548,17 +548,13 @@ def parse_bounds(fields: dict[str, str]) -> SearchBounds:
 # ============================================================
 
 
-def _point_key(pt: PointP1):
-    return (1, Fraction(0)) if pt.is_infinity else (0, pt.value)
-
-
 def prin_lines(name: str, p: PrinHom) -> list[str]:
     """The `name[point; i,j]: c_1 c_2 ...` records of a system."""
     if p.is_zero:
         return [f"{name}: 0"]
     out = []
     rows, cols = len(p.dst), len(p.src)
-    for pt in sorted(p.support, key=_point_key):
+    for pt in p.support:
         for i in range(rows):
             for j in range(cols):
                 coeffs = p.entry(pt, i, j)

@@ -283,8 +283,8 @@ def test_search_bounds_flag_overrides(tmp_path, capsys):
 
 def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     # search_lagrangian evaluates the form once on every graph it builds,
-    # by its entrywise pairings; neither it nor the certificates run the
-    # generic isotropy_direct
+    # by the entrywise pairings of isotropy_linear; the certificates do
+    # not run it again, and nothing runs the generic isotropy_direct
     calls = {"graphs": 0, "pairings": 0, "direct": 0}
 
     def counting(name, fn):
@@ -297,9 +297,9 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     direct = counting("direct", sb.isotropy_direct)
     monkeypatch.setattr(sb, "isotropy_direct", direct)
     monkeypatch.setattr(cli, "isotropy_direct", direct)
-    monkeypatch.setattr(
-        sb, "_unit_lift_isotropic", counting("pairings", sb._unit_lift_isotropic)
-    )
+    linear = counting("pairings", sb.isotropy_linear)
+    monkeypatch.setattr(sb, "isotropy_linear", linear)
+    monkeypatch.setattr(cli, "isotropy_linear", linear)
     # the search builds its graphs through the private _graph_subbundle
     monkeypatch.setattr(sb, "_graph_subbundle", counting("graphs", sb._graph_subbundle))
     text = RANK2_SYMMETRIC + (

@@ -12,11 +12,13 @@ from symplext.bundles import RatHom, dual_frame, transpose_hom
 from symplext.errors import NotACoboundary
 from symplext.forms import ExtensionData, check_orthogonal, check_symplectic
 from symplext.prinparts import (
-    _finite_excess,
+    _excess_ints,
+    _finite_tails,
     _u_chart_tail,
     CohClass,
     PrinHom,
     apply_prin,
+    assembled_finite,
     cech_class,
     class_dim,
     cocycle_of,
@@ -259,6 +261,67 @@ def _reference_cocycle(p):
     return out
 
 
+def _reference_finite(p, i, j):
+    """The finite tails of entry (i, j) summed as rational functions."""
+    total = RatFunc.zero()
+    for pt in p.support:
+        if not pt.is_infinity and p.entry(pt, i, j):
+            total = total + polar_coeffs_as_ratfunc(pt.value, p.entry(pt, i, j))
+    return total
+
+
+def _reference_lift(p):
+    """The canonical lift by rational-function sums: the finite tails plus
+    z^(k+t) times each nonzero residual pinf_k - excess_k at infinity; a
+    residual with k + t < 0 needs a pole at 0 and obstructs."""
+    entries = []
+    for i in range(p.nrows):
+        row = []
+        for j in range(p.ncols):
+            t = p.twist(i, j)
+            f = _reference_finite(p, i, j)
+            exc = _reference_excess(p, i, j)
+            pinf = p.entry(INFINITY, i, j)
+            for k in range(1, max(len(pinf), len(exc)) + 1):
+                r = _at(pinf, k) - _at(exc, k)
+                if not r:
+                    continue
+                if k + t < 0:
+                    raise NotACoboundary(
+                        f"obstructed at infinity order {k} in twist {t} of entry ({i}, {j})"
+                    )
+                f = f + zpow(k + t) * r
+            row.append(f)
+        entries.append(row)
+    return RatHom(p.src, p.dst, entries)
+
+
+def _reference_apply(p, secs):
+    """apply_prin by rational-function products: the tails at a of
+    sum_j (tails of p_ij at a) * secs[j], read by translate and polar0,
+    and at infinity against the flipped sections."""
+    parts = {}
+    for pt in p.support:
+        col = []
+        for i in range(p.nrows):
+            total = RatFunc.zero()
+            for j in range(p.ncols):
+                c = p.entry(pt, i, j)
+                if not c:
+                    continue
+                if pt.is_infinity:
+                    total = total + polar_coeffs_as_ratfunc(Fraction(0), c) * secs[
+                        j
+                    ].flip(p.src[j])
+                else:
+                    total = total + polar_coeffs_as_ratfunc(pt.value, c) * secs[j]
+            if not pt.is_infinity:
+                total = total.translate(pt.value)
+            col.append([total.polar0()])
+        parts[pt] = col
+    return PrinHom((0,), p.dst, parts)
+
+
 def _random_frames(rng, rank):
     return (
         tuple(rng.randint(-1, 3) for _ in range(rank)),
@@ -318,13 +381,14 @@ BIG_POINTS = (PointP1.finite(Fraction(7**20, 3**15)), PointP1.finite(-(10**12)))
 
 
 def _assembled_alpha(ext, sign):
-    """The structure check as an oracle: reduce the PrinHom sum
-    s = t(p) + sign * p and average its lift with its sign-transpose.
-    (None, s) when the class of s obstructs."""
+    """The structure check as an oracle: lift the PrinHom sum
+    s = t(p) + sign * p by rational-function sums and average the lift
+    with its sign-transpose.  (None, s) when the class of s obstructs."""
     s = transpose_prin(ext.p) + ext.p.scale(sign)
-    if not reduce_class(s).is_zero:
+    try:
+        a0 = _reference_lift(s)
+    except NotACoboundary:
         return None, s
-    a0 = lift_rational(s)
     return (a0 + transpose_hom(a0).scale(sign)).scale(Fraction(1, 2)), s
 
 
@@ -375,7 +439,8 @@ def test_structure_check_matches_assembled_route():
                 for skip in (None, P0):
                     ref = _reference_excess(p, i, j, skip=skip)
                     want = [_at(ref, k) for k in range(1, L + 1)]
-                    assert _finite_excess(p, i, j, skip=skip) == want
+                    nums, den = _excess_ints(p, i, j, skip=skip)
+                    assert [Fraction(x, den) for x in nums] == want
         for sign, check in ((-1, check_symplectic), (1, check_orthogonal)):
             want, s = _assembled_alpha(ext, sign)
             got = check(ext)
@@ -391,6 +456,72 @@ def test_structure_check_matches_assembled_route():
                 assert prin_of(want) == s
     # every branch is exercised, on points of small and large height
     assert min(seen.values()) >= 60, seen
+
+
+def _cleared_at_infinity(p):
+    """p with the reference class taken off its tails at infinity: a
+    coboundary, built with no prin_of, so points of large height stay
+    cheap."""
+    cls = _reference_class(p)
+    parts = {pt: [list(row) for row in mat] for pt, mat in p.parts.items()}
+    inf = parts.setdefault(INFINITY, [[()] * p.ncols for _ in range(p.nrows)])
+    for (i, j), vals in cls.data.items():
+        tail = list(inf[i][j]) + [0] * max(0, len(vals) - len(inf[i][j]))
+        inf[i][j] = [x - c for x, c in zip(tail, vals)] + tail[len(vals) :]
+    return PrinHom(p.src, p.dst, parts)
+
+
+def _global_sections(rng, frame):
+    return [
+        RatFunc(Poly([sampling.fraction(rng) for _ in range(d + 1)]))
+        if d >= 0
+        else RatFunc.zero()
+        for d in frame
+    ]
+
+
+def test_closed_form_tails_match_ratfunc_route():
+    # the lift, both chart splittings, the cocycle and apply_prin against
+    # the rational-function sums, products and gcds they replace
+    rng = random.Random(67)
+    seen = {"obstructed": 0, "zero": 0, "large": 0, "infinity": 0, "twist -10": 0}
+    pool = list(sampling.POINT_POOL) + list(BIG_POINTS) + [INFINITY]
+    for case in range(320):
+        rank = 1 + case % 4
+        degrees = tuple(sorted((rng.randint(-5, 1) for _ in range(rank)), reverse=True))
+        ell = rng.randint(-2, 0)
+        pts = rng.sample(pool, rng.randint(1, 4))
+        p = sampling.prinhom(rng, dual_frame(degrees, ell), degrees, pts=pts, max_order=3)
+        seen["zero"] += P0 in p.support
+        seen["large"] += any(pt in BIG_POINTS for pt in p.support)
+        seen["infinity"] += INFINITY in p.support
+        seen["twist -10"] += min(p.twist(i, j) for i in range(rank) for j in range(rank)) == -10
+        try:
+            want = _reference_lift(p)
+        except NotACoboundary as exc:
+            seen["obstructed"] += 1
+            with pytest.raises(NotACoboundary) as got:
+                lift_rational(p)
+            assert str(got.value) == str(exc), case
+        else:
+            assert lift_rational(p) == want, case
+        cb = _cleared_at_infinity(p)
+        assert lift_rational(cb) == _reference_lift(cb), case
+        ext = ExtensionData(degrees, ell, p)
+        s0 = RatHom(p.src, p.dst, [[_reference_finite(p, i, j) for j in range(rank)] for i in range(rank)])
+        assert ext.s_zero() == s0, case
+        T = _reference_cocycle(p)
+        assert cocycle_of(p) == T, case
+        for i in range(rank):
+            for j in range(rank):
+                assert assembled_finite(p, i, j) == s0[i, j]
+                assert ext.s_infinity()[i, j] == s0[i, j] - T[i][j], case
+                for skip in (None, P0):
+                    num, den = _finite_tails(p, i, j, skip=skip)
+                    assert num.gcd(den) == Poly.one()
+        secs = _global_sections(rng, p.src)
+        assert apply_prin(p, secs) == _reference_apply(p, secs), case
+    assert min(seen.values()) >= 20, seen
 
 
 def test_u_chart_tails_at_points_of_large_height():

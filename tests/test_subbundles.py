@@ -33,7 +33,6 @@ from symplext.subbundles import (
     SearchBounds,
     _enumeration_work,
     _packed_classes,
-    _unit_lift_isotropic,
     beta_from_subbundle,
     cor6_backward,
     cor6_forward,
@@ -393,9 +392,9 @@ def test_isotropy_triple_agreement_random():
 
 
 def test_search_pairings_match_isotropy_direct():
-    # the search reads each pairing off beta and alpha entrywise; on
-    # isotropic and non-isotropic graphs of both kinds it must agree with
-    # the form evaluated on RatSectionW members
+    # the search reads each pairing off beta and alpha entrywise, by
+    # isotropy_linear; on isotropic and non-isotropic graphs of both kinds
+    # it must agree with the form evaluated on RatSectionW members
     rng = random.Random(113)
     seen = set()
     for k in range(120):
@@ -417,7 +416,7 @@ def test_search_pairings_match_isotropy_direct():
             beta = g
         G = graph_subbundle(se.ext, beta)
         verdict = isotropy_direct(se, G)
-        assert _unit_lift_isotropic(se, G.beta) == verdict
+        assert isotropy_linear(G.beta, se.alpha, kind) == verdict
         seen.add((kind, verdict))
     assert len(seen) == 4
 
