@@ -95,6 +95,7 @@ from .subbundles import (
     beta_from_subbundle,
     cor6_backward,
     cor6_forward,
+    graph_of_defect,
     graph_subbundle,
     h0_twisted,
     isotropy_direct,

@@ -1,89 +1,67 @@
-"""Small exact linear algebra kernels: one Gauss-Jordan elimination over
-a field behind rref, rank and nullspace, one Euclidean column reduction
-over Q[z] behind the Hermite form and the kernel of polynomial matrices,
-and the shifted weak Popov reduction of a Q[z]-module basis.  Internal
-module.
+"""Small exact linear algebra kernels: one fraction-free elimination over
+Z and Q[z] behind rref, rank and nullspace, one Euclidean column
+reduction over Q[z] behind the Hermite form and the kernel of polynomial
+matrices, and the shifted weak Popov reduction of a Q[z]-module basis.
+Internal module.
 
-A matrix whose entries are all rational (int or Fraction) is eliminated
-fraction-free: each row is scaled to integers by the lcm of its
-denominators, and Bareiss's integer-preserving Gauss-Jordan steps run on
-Python ints; only rref's reduced output is converted back to Fractions.
-Matrices with RatFunc entries take the plain Gauss-Jordan loop."""
+The elimination clears each row of denominators (_int_rows), into ints
+when every entry is rational and into Poly otherwise, and runs Bareiss's
+fraction-free Gauss-Jordan steps on them (_bareiss); only rref's reduced
+output is divided back, into Fractions or RatFuncs."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
 
-from .ratfield import Poly, RatFunc
+from .ratfield import Poly, RatFunc, _as_ratfunc
 
 _ZERO = Fraction(0)
 _RATIONAL = {int, Fraction}
 
 
-# ---------------- elimination over a field ----------------
-
-
-def _field_rows(rows):
-    # a copy in which ints become Fractions, so that division stays exact
-    return [
-        [x if isinstance(x, (Fraction, RatFunc)) else Fraction(x) for x in r]
-        for r in rows
-    ]
-
-
-def _gauss_jordan(rows, reduced: bool = True) -> list[int]:
-    """Eliminate in place and return the pivot columns.  Entries are
-    field elements whose zero is falsy.  Pivot rows are scaled to 1 and
-    moved to the top; with reduced=False only the rows below a pivot are
-    cleared (echelon form, enough for the rank).  The pivot row is zero
-    left of its pivot column, so rows are updated from that column on."""
-    pivots = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        prow = rows[r][c:] = [x / piv for x in rows[r][c:]]
-        for i in range(0 if reduced else r + 1, len(rows)):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], prow)]
-        pivots.append(c)
-        r += 1
-    return pivots
+# ---------------- fraction-free elimination ----------------
 
 
 def _int_rows(rows):
-    """Each row times the lcm of its denominators, as lists of ints; None
-    when some entry is not rational."""
+    """The rows cleared of denominators, and the one of their ring: each
+    row times the lcm of its denominators, as ints when every entry is
+    rational, else as Polys with every entry read as a rational function.
+    Scaling rows keeps the pivots, the reduced form and the kernel."""
     out = []
     for row in rows:
         if not set(map(type, row)) <= _RATIONAL:
-            return None
+            break
         d = lcm(*[x.denominator for x in row])
         out.append([x.numerator * (d // x.denominator) for x in row])
-    return out
+    else:
+        return out, 1
+    out = []
+    for row in rows:
+        row = [_as_ratfunc(x) for x in row]
+        d = Poly.one()
+        for x in row:
+            if x.den.degree > 0:
+                d = d * (x.den // d.gcd(x.den))
+        out.append([x.num * (d // x.den) for x in row])
+    return out, Poly.one()
 
 
-def _bareiss(rows, reduced: bool = True) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
-    pivot columns and the last pivot d.
+def _bareiss(rows, one, reduced: bool = True) -> tuple[list[int], int | Poly]:
+    """Fraction-free Gauss-Jordan on rows over an integral domain (int
+    or Poly, with the given one), in place; returns the pivot columns
+    and the last pivot d.
 
     Each step replaces every other row by (d * row - f * pivot_row) / p,
     with d the new pivot, f the row's entry in the pivot column and p the
-    previous pivot (Bareiss, Math. Comp. 1968).  The division is exact:
-    the entries stay minors of the input.  Afterwards every pivot row
-    holds d in its pivot column, so the reduced form is rows / d.  Rows
-    at and below the pivot are zero left of its column and are updated
-    from there; rows above it are scaled in full.  With reduced=False
-    only the rows below a pivot are updated (echelon form)."""
+    previous pivot (Bareiss, Math. Comp. 1968).  The division is exact in
+    any integral domain: the entries stay minors of the input.  Afterwards
+    every pivot row holds d in its pivot column, so the reduced form is
+    rows / d.  Rows at and below the pivot are zero left of its column and
+    are updated from there; rows above it are scaled in full.  With
+    reduced=False only the rows below a pivot are updated (echelon form)."""
     pivots = []
-    p = 1
+    p = one
     r = 0
     for c in range(len(rows[0]) if rows else 0):
         if r == len(rows):
@@ -111,20 +89,18 @@ def _bareiss(rows, reduced: bool = True) -> tuple[list[int], int]:
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    ints = _int_rows(rows)
-    if ints is None:
-        rows = _field_rows(rows)
-        return rows, _gauss_jordan(rows)
-    pivots, d = _bareiss(ints)
-    return [[Fraction(x, d) if x else _ZERO for x in row] for row in ints], pivots
+    """Reduced row echelon form; returns (rows, pivot column list).  The
+    entries are Fractions for a rational matrix and RatFuncs for a
+    matrix with a RatFunc entry."""
+    rows, one = _int_rows(rows)
+    pivots, d = _bareiss(rows, one)
+    if isinstance(one, int):
+        return [[Fraction(x, d) if x else _ZERO for x in row] for row in rows], pivots
+    return [[RatFunc(x, d) for x in row] for row in rows], pivots
 
 
 def rank(rows) -> int:
-    ints = _int_rows(rows)
-    if ints is None:
-        return len(_gauss_jordan(_field_rows(rows), reduced=False))
-    return len(_bareiss(ints, reduced=False)[0])
+    return len(_bareiss(*_int_rows(rows), reduced=False)[0])
 
 
 def nullspace(rows, ncols: int):
@@ -280,15 +256,18 @@ def weak_popov(columns, shift):
 
 
 def poly_kernel(B, ncols: int):
-    """Basis of the Q[z]-module kernel of a polynomial matrix B (list of
-    rows of Poly, ncols columns): unimodular column reduction of B with
-    the operations tracked on an identity tail; the tails of the columns
-    that reduce to zero form a basis of {f : B f = 0}.
+    """Basis of the Q[z]-module kernel of a matrix B of rational
+    functions (list of rows of RatFunc, ncols columns).  Each row is
+    cleared of denominators (_int_rows), which keeps the kernel; then
+    unimodular column reduction runs with the operations tracked on an
+    identity tail, and the tails of the columns that reduce to zero form
+    a basis of {f : B f = 0}.
     """
     nrows = len(B)
     if ncols == 0 or nrows == 0:
         return []
-    one, zero = Poly.one(), Poly.zero()
+    B, one = _int_rows(B)
+    zero = Poly.zero()
     full = [
         [B[i][j] for i in range(nrows)]
         + [one if k == j else zero for k in range(ncols)]

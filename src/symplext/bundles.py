@@ -20,12 +20,11 @@ transition matrix of a split frame is diag(z^(d_i)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _linalg as la
 from .errors import FrameMismatch, NotACochain
-from .ratfield import Poly, RatFunc, ratfunc_text, zpow
+from .ratfield import RatFunc, _as_ratfunc, ratfunc_text, zpow
 
 __all__ = [
     "SplitBundle",
@@ -243,16 +242,6 @@ class RatHom:
             for i in range(self.nrows)
             for j in range(self.ncols)
         )
-
-
-def _as_ratfunc(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.constant(x)
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    raise TypeError(f"not a rational function: {x!r}")
 
 
 def _selfdual_check(src: Frame, dst: Frame) -> None:

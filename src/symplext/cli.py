@@ -70,6 +70,7 @@ from .subbundles import (
     beta_from_subbundle,
     cor6_backward,
     cor6_forward,
+    graph_of_defect,
     graph_subbundle,
     isotropy_direct,
     isotropy_linear,
@@ -147,16 +148,13 @@ def _structure_of(ext: ExtensionData, kind: str):
     return check_symplectic(ext) if kind == "symplectic" else check_orthogonal(ext)
 
 
-def _beta_of(doc: Document, ext: ExtensionData):
-    """Resolve the subbundle datum: beta wins, else lift it from q."""
+def _graph_of(doc: Document, ext: ExtensionData):
+    """The graph of the subbundle datum: of beta when there is one, else
+    the graph that q cuts out."""
     if doc.beta is not None:
-        return doc.beta
+        return graph_subbundle(ext, doc.beta)
     if doc.q is not None:
-        if reduce_class(doc.q) != ext.extension_class():
-            raise ClassMismatch(
-                "q does not represent the class of the extension"
-            )
-        return lift_rational(ext.p - doc.q)
+        return graph_of_defect(ext, doc.q)
     raise ParseError("needs a beta or q record")
 
 
@@ -223,7 +221,7 @@ def cmd_check_structure(args) -> int:
 def cmd_subbundle(args) -> int:
     doc = _read_document(args.file)
     ext = _extension_of(doc)
-    G = graph_subbundle(ext, _beta_of(doc, ext))
+    G = _graph_of(doc, ext)
     regular = regularity_check(G)
     out = Document(
         e_frame=ext.e_frame,
@@ -252,7 +250,7 @@ def cmd_isotropy(args) -> int:
     se = _structure_of(ext, kind)
     if se is None:
         return _no_structure(args, ext, kind)
-    G = graph_subbundle(ext, _beta_of(doc, ext))
+    G = _graph_of(doc, ext)
     tests = {
         "prin": isotropy_prin(G.q, kind),
         "linear": isotropy_linear(G.beta, se.alpha, kind),
@@ -293,9 +291,8 @@ def cmd_search(args) -> int:
     found = sorted(found, key=lambda G: "\n".join(prin_lines("q", G.q)))
     records = []
     for G in found:
-        # search_lagrangian keeps only graphs that pass isotropy_linear,
-        # which is also the form on their unit-basis lifts: the linear and
-        # direct certificates
+        # every graph search_lagrangian returns is isotropic by
+        # construction, which the linear and direct certificates state
         certs = ("prin",) if isotropy_prin(G.q, kind) else ()
         certs += ("linear", "direct")
         records.append(
@@ -458,6 +455,8 @@ def _suite_graphs(rng) -> int:
             "degree is not deg F minus the length of q",
         )
         _check(sum(G.splitting) == G.degree, "splitting does not sum to the degree")
+        # h^0(Hom(F, E)) = 0 in these frames, so beta is the lift of p - q
+        _check(graph_of_defect(ext, G.q) == G, "q does not cut out the graph of beta")
         _check(splitting_type(G) == G.splitting, "splitting_type disagrees")
         # the first read of both chart lattices: their builds and checks
         # run, and the u-chart lattice is checked to lie on the graph of

@@ -52,7 +52,7 @@ from .prinparts import (
     reduce_class,
     transpose_prin,
 )
-from .ratfield import INFINITY, Poly, RatFunc, valuation, zpow
+from .ratfield import INFINITY, Poly, RatFunc, _as_ratfunc, valuation, zpow
 
 __all__ = [
     "ExtensionData",
@@ -404,7 +404,7 @@ def wp_member(ext: ExtensionData, phi: Sequence[RatFunc]) -> RatSectionW:
     The E-part is the canonical rational realization of the tails of p
     applied to phi; NotACoboundary signals an inadmissible phi.
     """
-    phi = [f if isinstance(f, RatFunc) else RatFunc.constant(f) for f in phi]
+    phi = [_as_ratfunc(f) for f in phi]
     tails = apply_prin(ext.p, phi)
     col = lift_rational(tails)
     return RatSectionW(

@@ -30,6 +30,7 @@ from .ratfield import (
     PointP1,
     Poly,
     RatFunc,
+    _as_ratfunc,
     as_fraction,
     full_principal_part,
 )
@@ -664,7 +665,7 @@ def apply_prin(p: PrinHom, sections: Sequence[RatFunc]) -> PrinHom:
     w, s(z + a) at a finite point and its flip u^src[j] s(1/u) at
     infinity, so the product's tail is a convolution (_tail_times).
     """
-    secs = [s if isinstance(s, RatFunc) else RatFunc.constant(s) for s in sections]
+    secs = [_as_ratfunc(s) for s in sections]
     if len(secs) != p.ncols:
         raise FrameMismatch("section vector length differs from source rank")
     for j, s in enumerate(secs):
@@ -758,9 +759,7 @@ def cech_class(T: Sequence[Sequence[RatFunc]], src, dst) -> CohClass:
     mat0: list[list[Coeffs]] = []
     for row in mats:
         out_row: list[Coeffs] = []
-        for f in row:
-            if not isinstance(f, RatFunc):
-                f = RatFunc.constant(f) if not isinstance(f, Poly) else RatFunc(f)
+        for f in map(_as_ratfunc, row):
             if not f.is_zero and any(c != 0 for c in f.den.coeffs[:-1]):
                 raise NotACochain(
                     "cocycle entries must be regular on the overlap "

@@ -756,6 +756,16 @@ def _coerce(x) -> "RatFunc":
     return NotImplemented
 
 
+def _as_ratfunc(x) -> "RatFunc":
+    """x as a RatFunc: a RatFunc as it is, a Poly wrapped, and anything
+    else read by as_fraction as a constant."""
+    if isinstance(x, RatFunc):
+        return x
+    if isinstance(x, Poly):
+        return RatFunc(x)
+    return RatFunc.constant(x)
+
+
 def _trim_polar(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     cs = list(coeffs)
     while cs and cs[-1] == 0:

@@ -40,17 +40,17 @@ from .prinparts import (
     _u_chart_tail,
     lift_rational,
     local_condition_matrix,
-    prin_length,
     prin_of,
     reduce_class,
     transpose_prin,
 )
-from .ratfield import PointP1, Poly, RatFunc, as_fraction
+from .ratfield import PointP1, Poly, RatFunc, _as_ratfunc, as_fraction
 
 __all__ = [
     "JetCondition",
     "GraphSubbundle",
     "graph_subbundle",
+    "graph_of_defect",
     "splitting_type",
     "h0_twisted",
     "beta_from_subbundle",
@@ -119,10 +119,11 @@ class _OnFirstRead:
 class GraphSubbundle:
     """Graph closure of beta inside W, the extension ext.
 
-    q = ext.p - prin_of(beta) is computed once, by graph_subbundle (the
-    search hands in the q it built), and everything downstream reads ext
-    and q from here.  conditions carry the jet systems of q at its
-    support (the point at infinity included, acting on u-jets).
+    q = ext.p - prin_of(beta) is computed once, by graph_subbundle
+    (graph_of_defect and the search hand in the q they hold), and
+    everything downstream reads ext and q from here.  conditions carry
+    the jet systems of q at its support (the point at infinity included,
+    acting on u-jets).
 
     graph_subbundle builds eagerly what the printed invariants need: q,
     conditions, f_basis_0 (the chart-0 lattice of F-sections that satisfy
@@ -321,12 +322,13 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
 
     Solves the jet systems of q = p - prin_of(beta) at each support
     point, builds the chart-0 module basis of the F-sections satisfying
-    the finite conditions (it must have rank n), and computes the degree
-    from the length of q.  The splitting type comes from that basis
-    reduced to shifted weak Popov form, whose column degrees give the
-    h^0 profile of its lattice, and from the condition at infinity acting
-    on the jets of the coefficients (see _reduced_splitting): no h^0
-    scan.  The type must have n entries summing to the degree.
+    the finite conditions (it must have rank n), and reads the degree off
+    the ranks of the conditions, whose sum is the length of q.  The
+    splitting type comes from that basis reduced to shifted weak Popov
+    form, whose column degrees give the h^0 profile of its lattice, and
+    from the condition at infinity acting on the jets of the coefficients
+    (see _reduced_splitting): no h^0 scan.  The type must have n entries
+    summing to the degree.
 
     The chart lattices basis_0 and basis_inf, the module bases lifted to
     W by f |-> (beta f, f) in the chart trivializations, are built when
@@ -337,15 +339,30 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     return _graph_subbundle(ext, beta, ext.p - prin_of(beta))
 
 
+def graph_of_defect(ext: ExtensionData, q: PrinHom) -> GraphSubbundle:
+    """Graph subbundle cut out by a defect system q with the class of p.
+
+    Its beta is lift_rational(p - q), whose tails are p - q by
+    construction, so q is handed to the graph as it is: no root search
+    recovers it.  When h^0(Hom(F, E)) = 0 that beta is the only map with
+    these tails (cor6_forward); otherwise it is the canonical one."""
+    if q.src != ext.f_frame or q.dst != ext.e_frame:
+        raise FrameMismatch("q must share the frames of p")
+    if reduce_class(q) != ext.extension_class():
+        raise ClassMismatch("q does not represent the class of the extension")
+    return _graph_subbundle(ext, lift_rational(ext.p - q), q)
+
+
 def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbundle:
-    # graph_subbundle for a caller that already holds q = p - prin_of(beta)
+    # the graph of beta for a caller that already holds q = p - prin_of(beta)
     n = ext.rank
     conditions = _conditions_of(q)
     fin = [c for c in conditions if not c.point.is_infinity]
     fbasis = _module_basis(n, fin)
     if len(fbasis) != n:
         raise InternalLiftFailure("chart-0 kernel lattice is not rank n")
-    degree = sum(ext.f_frame) - prin_length(q)
+    # the rank of each condition is the local length of q there
+    degree = sum(ext.f_frame) - sum(c.rank for c in conditions)
     inf = next((c for c in conditions if c.point.is_infinity), None)
     splitting = _reduced_splitting(ext.f_frame, fbasis, inf, degree)
     if len(splitting) != n or sum(splitting) != degree:
@@ -543,7 +560,7 @@ def beta_from_subbundle(basis_0, basis_inf, ext: ExtensionData) -> RatHom:
     # M Q = P with M = s_0 - beta, so tQ tM = tP; row k of [tQ | tP] is
     # column k of the lattice, F-part first.  One elimination shows
     # whether Q is singular and, if not, leaves tM in the right half.
-    aug, pivots = la.rref([[_rf(x) for x in c[n:] + c[:n]] for c in cols0])
+    aug, pivots = la.rref([[_as_ratfunc(x) for x in c[n:] + c[:n]] for c in cols0])
     if pivots != list(range(n)):
         raise VerticalIntersection("the lattice projects degenerately to F")
     entries = [[aug[k][n + i] for k in range(n)] for i in range(n)]
@@ -551,21 +568,13 @@ def beta_from_subbundle(basis_0, basis_inf, ext: ExtensionData) -> RatHom:
     if basis_inf is not None:
         ahat = _beta_inf_chart(ext.s_infinity() - beta)
         for col in basis_inf:
-            x_part = [_rf(x) for x in col[:n]]
-            f_part = [_rf(x) for x in col[n:]]
+            x_part = [_as_ratfunc(x) for x in col[:n]]
+            f_part = [_as_ratfunc(x) for x in col[n:]]
             if [la.sum_prod(row, f_part) for row in ahat] != x_part:
                 raise FrameMismatch(
                     "the two chart lattices do not span the same graph"
                 )
     return beta
-
-
-def _rf(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    return RatFunc.constant(x)
 
 
 def regularity_check(G: GraphSubbundle) -> bool:
@@ -703,14 +712,7 @@ def vertical_kernel(G: GraphSubbundle) -> VerticalKernel:
     description verified on the generators."""
     n = G.rank
     beta = G.beta
-    # clear denominators rowwise; row scaling preserves the kernel
-    B = []
-    for i in range(n):
-        den = Poly.one()
-        for j in range(n):
-            den = den * beta[i, j].den // den.gcd(beta[i, j].den)
-        B.append([(beta[i, j] * RatFunc(den)).num for j in range(n)])
-    kern = la.poly_kernel(B, n)
+    kern = la.poly_kernel(beta.entries, n)
     if not kern:
         return VerticalKernel(0, (), (), True)
     k = len(kern)
@@ -796,12 +798,7 @@ def cor6_forward(ext: ExtensionData, q: PrinHom) -> GraphSubbundle:
     as p; the witness beta is the unique rational map with
     prin_of(beta) = p - q."""
     _require_h0_zero(ext)
-    if q.src != ext.f_frame or q.dst != ext.e_frame:
-        raise FrameMismatch("q must share the frames of p")
-    if reduce_class(q) != ext.extension_class():
-        raise ClassMismatch("q does not represent the extension class")
-    beta = lift_rational(ext.p - q)
-    return graph_subbundle(ext, beta)
+    return graph_of_defect(ext, q)
 
 
 def cor6_backward(ext: ExtensionData, G: GraphSubbundle) -> PrinHom:
@@ -987,11 +984,16 @@ def search_lagrangian(
     system), passes MAX_SEARCH_WORK raise FrameMismatch: a count past it
     before any class is reduced, wide sums once the classes are packed.
 
-    q and beta are built only for the hits, and the graph only for the
-    hits where the form vanishes on the graph lifts of the unit basis of
-    F, the certificate isotropy_direct evaluates, read off entrywise from
-    beta by isotropy_linear.  A returned graph has built neither chart
-    lattice."""
+    q, beta and the graph are built only for the hits, and every hit is
+    isotropic, so no form is evaluated.  q is (anti)symmetric by
+    construction (_defect_system): t(q) + sign q = 0 exactly.  Each entry
+    of a lift depends linearly on that entry's tails alone, and the
+    self-dual frame gives (i, j) and (j, i) the same twist, so lifting
+    commutes with t(.) + sign(.); for beta = lift(p - q) this gives
+    t(beta) + sign beta = lift(t(p) + sign p) = alpha, the identity
+    isotropy_linear checks and the form on the graph lifts of the unit
+    basis of F that isotropy_direct evaluates.  A returned graph has built
+    neither chart lattice."""
     ext = se.ext
     sign = -1 if se.kind == "symplectic" else 1
     slots = [
@@ -1053,10 +1055,7 @@ def search_lagrangian(
                 sign,
                 [(slot, tails[t]) for slot, t in zip(slots, head + tail_choice)],
             )
-            beta = lift_rational(ext.p - q)
-            if not isotropy_linear(beta, se.alpha, se.kind):
-                continue
-            out.append(_graph_subbundle(ext, beta, q))
+            out.append(_graph_subbundle(ext, lift_rational(ext.p - q), q))
             if len(out) >= bounds.cap:
                 return out
     return out

@@ -282,9 +282,9 @@ def test_search_bounds_flag_overrides(tmp_path, capsys):
 
 
 def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
-    # search_lagrangian evaluates the form once on every graph it builds,
-    # by the entrywise pairings of isotropy_linear; the certificates do
-    # not run it again, and nothing runs the generic isotropy_direct
+    # every graph search_lagrangian builds is isotropic by construction,
+    # so neither the search nor the certificates evaluate a form: no
+    # entrywise pairings of isotropy_linear, no generic isotropy_direct
     calls = {"graphs": 0, "pairings": 0, "direct": 0}
 
     def counting(name, fn):
@@ -309,7 +309,7 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["search", "--machine", f])
     assert code == 0
     assert len(parse_document(out).results) == calls["graphs"] > 0
-    assert calls["pairings"] == calls["graphs"]
+    assert calls["pairings"] == 0
     assert calls["direct"] == 0
 
 
@@ -317,7 +317,8 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     "command, text, expected",
     [
         ("subbundle", RANK1_SUBBUNDLE, 1),
-        ("subbundle", RANK1_GENERATOR + "q[1; 1,1]: 1\n", 1),
+        # a q record cuts out its graph with the q it holds
+        ("subbundle", RANK1_GENERATOR + "q[1; 1,1]: 1\n", 0),
         # the structure check checks its alpha on the support of t(p) - p,
         # with no prin_of
         ("isotropy", RANK1_ISOTROPY, 1),
@@ -326,8 +327,8 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
 def test_graph_commands_run_prin_of_once_per_graph(
     tmp_path, capsys, monkeypatch, command, text, expected
 ):
-    # q = p - prin_of(beta) is computed once, in graph_subbundle; the
-    # command and regularity_check read it from the graph
+    # q = p - prin_of(beta) is computed at most once, in graph_subbundle;
+    # the command and regularity_check read it from the graph
     real = sys.modules["symplext.prinparts"].prin_of
     calls = []
 
@@ -670,6 +671,33 @@ def test_structure_check_at_a_point_of_large_height_ends(tmp_path, argv, line):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "symplext", *argv, write(tmp_path, LARGE_POINT)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines()
+
+
+# a q record beside p at that point: the graph takes q as it is, and no
+# root search recovers it from beta
+LARGE_POINT_Q = LARGE_POINT + "q[3; 1,2]: 2\nq[3; 2,1]: 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["subbundle"], "splitting: -1 -1"),
+        (["isotropy", "--kind", "symplectic"], "isotropic: yes (all three tests agree)"),
+    ],
+)
+def test_graph_of_a_q_record_at_a_point_of_large_height_ends(tmp_path, argv, line):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "symplext", *argv, write(tmp_path, LARGE_POINT_Q)],
         capture_output=True,
         text=True,
         env=env,

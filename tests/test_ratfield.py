@@ -731,3 +731,76 @@ def test_elimination_matches_plain_fraction_elimination():
                 rows[1] = [Fraction(2, 3) * x - y for x, y in zip(rows[0], rows[2])]
             _check_elimination(rows)
     _check_elimination([[0] * 4 for _ in range(3)])
+
+
+# ------------------------------------------------------------
+# Matrices of rational functions: fraction-free over Q[z] against
+# the Gauss-Jordan loop over the field
+# ------------------------------------------------------------
+
+
+def _gauss_jordan_rref(rows):
+    """The Gauss-Jordan loop over the field of rational functions that
+    eliminated RatFunc matrices before rows were cleared to Q[z]: pivot
+    rows scaled to 1, every other row cleared from the pivot column on."""
+    rows = [
+        [x if isinstance(x, (Fraction, RatFunc)) else Fraction(x) for x in r]
+        for r in rows
+    ]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        prow = rows[r][c:] = [x / piv for x in rows[r][c:]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], prow)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _random_entry(rng):
+    kind = rng.random()
+    if kind < 0.2:
+        return 0
+    if kind < 0.35:
+        return rng.randint(-3, 3)
+    if kind < 0.5:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return RatFunc(_random_poly(rng, False), _random_poly(rng, True))
+
+
+def test_ratfunc_elimination_matches_gauss_jordan():
+    rng = random.Random(20261019)
+    shapes = [(m, n) for m in range(1, 7) for n in range(1, 7)] + [(4, 8)]
+    checked = 0
+    for _ in range(6):
+        for nrows, ncols in shapes:
+            rows = [[_random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+            # a RatFunc entry in the first row, so the rows are cleared to Q[z]
+            rows[0][rng.randrange(ncols)] = RatFunc(
+                _random_poly(rng, True), _random_poly(rng, True)
+            )
+            if nrows > 2 and rng.random() < 0.5:
+                # a row dependent over the function field, not over Q
+                a = RatFunc(_random_poly(rng, True), _random_poly(rng, True))
+                rows[-1] = [a * x - y for x, y in zip(rows[0], rows[1])]
+            if nrows > 1 and rng.random() < 0.3:
+                rows[rng.randrange(1, nrows)] = [0] * ncols
+            ref, ref_pivots = _gauss_jordan_rref(rows)
+            got, pivots = rref(rows)
+            assert pivots == ref_pivots
+            assert all(type(x) is RatFunc for r in got for x in r)
+            assert got == [[RatFunc.constant(x) if isinstance(x, Fraction) else x
+                             for x in r] for r in ref]
+            assert rank(rows) == len(ref_pivots)
+            checked += 1
+    assert checked >= 200

@@ -10,7 +10,8 @@ import pytest
 
 import symplext.subbundles as sb
 from symplext import sampling
-from symplext.bundles import RatHom, dual_frame, transpose_hom
+from symplext.bundles import RatHom, dual_frame, h0_hom, transpose_hom
+from symplext.cli import _candidates
 from symplext.errors import (
     ClassMismatch,
     FrameMismatch,
@@ -760,6 +761,37 @@ def test_search_matches_generate_and_reject(degrees, parts, check, bounds):
     assert [G.q for G in out] == [G.q for G in ref]
     assert [G.beta for G in out] == [G.beta for G in ref]
     assert [G.splitting for G in out] == [G.splitting for G in ref]
+
+
+def test_every_class_matching_candidate_is_isotropic():
+    # search_lagrangian evaluates no form on its hits: a q of the
+    # structure's symmetry type with [q] = [p] cuts out a graph on which
+    # the form vanishes, also where h^0(Hom(F, E)) != 0 and beta is only
+    # the canonical lift of p - q
+    rng = random.Random(20261019)
+    frames = ((-1,), (-1, -2), (0, -1), (0, 0), (-1, -1, -2))
+    seen = set()
+    for k in range(20):
+        kind = ("symplectic", "orthogonal")[k % 2]
+        degrees = frames[k // 2 % len(frames)]
+        if kind == "orthogonal" and len(degrees) == 1:
+            degrees = (-1, -3)
+        n_points = 1 if len(degrees) == 3 else rng.randint(1, 2)
+        values = rng.sample([0, 1, -1, Fraction(1, 2)], 3 if n_points == 1 else 2)
+        bounds = SearchBounds(sampling.points(rng, n_points), 1, values, cap=10**6)
+        planted = rng.choice(list(_candidates(kind, degrees, bounds)))
+        gamma = sampling.rathom(rng, dual_frame(degrees, 0), degrees, max_order=1)
+        ext = ExtensionData(degrees, 0, planted + prin_of(gamma))
+        se = (check_symplectic if kind == "symplectic" else check_orthogonal)(ext)
+        target = ext.extension_class()
+        matching = [q for q in _candidates(kind, degrees, bounds) if reduce_class(q) == target]
+        assert planted in matching
+        out = search_lagrangian(se, bounds)
+        assert [G.q for G in out] == matching
+        for G in out:
+            assert isotropy_direct(se, G)
+        seen.add((kind, h0_hom(ext.f_frame, ext.e_frame) != 0))
+    assert len(seen) == 4
 
 
 def test_search_runs_no_prin_of(monkeypatch):
