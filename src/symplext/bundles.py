@@ -147,9 +147,14 @@ class RatHom:
 
     Entry (i, j) is a rational section of O(dst[i] - src[j]); the matrix
     acts on coordinate vectors of the source frame.
+
+    ``tails`` is the map's principal part system when the parser read it
+    off a text written in partial fractions (textio), else None.  It takes
+    no part in equality, hashing or repr, and every result of arithmetic
+    has None.
     """
 
-    __slots__ = ("src", "dst", "entries")
+    __slots__ = ("src", "dst", "entries", "tails")
 
     def __init__(self, src, dst, entries: Sequence[Sequence[RatFunc]]):
         src, dst = as_frame(src), as_frame(dst)
@@ -161,6 +166,7 @@ class RatHom:
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "tails", None)
 
     # -- constructors ------------------------------------------------
 
@@ -169,6 +175,14 @@ class RatHom:
         src, dst = as_frame(src), as_frame(dst)
         z = RatFunc.zero()
         return RatHom(src, dst, [[z] * len(src) for _ in dst])
+
+    @staticmethod
+    def _with_tails(src, dst, entries, tails) -> "RatHom":
+        # a parsed map with its principal part system (a PrinHom in its
+        # frames) read off the text
+        phi = RatHom(src, dst, entries)
+        object.__setattr__(phi, "tails", tails)
+        return phi
 
     # -- structure ---------------------------------------------------
 

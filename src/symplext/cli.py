@@ -64,7 +64,7 @@ from .prinparts import (
     reduce_class,
     transpose_prin,
 )
-from .ratfield import parse_ratfunc, ratfunc_text, zpow
+from .ratfield import frac_text, parse_ratfunc, ratfunc_text, zpow
 from .subbundles import (
     SearchBounds,
     beta_from_subbundle,
@@ -445,11 +445,40 @@ def _suite_forms(rng) -> int:
     return done
 
 
+def _partial_fraction_text(beta, tails, i: int, j: int) -> str:
+    """Entry (i, j) of beta as a sum of c/(z - a)^k over its finite tails
+    plus c*z^m over its polynomial part."""
+    terms = []
+    for pt in tails.support:
+        if not pt.is_infinity:
+            a = pt.value
+            base = "z" if a == 0 else f"(z {'-' if a > 0 else '+'} {frac_text(abs(a))})"
+            terms += [(c, f"/{base}^{k}") for k, c in enumerate(tails.entry(pt, i, j), 1)]
+    f = beta[i, j]
+    poly = f.num // f.den
+    terms += [(poly[m], f"*z^{m}") for m in range(poly.degree + 1)]
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {frac_text(abs(c))}{rest}" for c, rest in terms if c
+    )
+    return text or "0"
+
+
 def _suite_graphs(rng) -> int:
     for _ in range(10):
         ext = sampling.extension(rng, (-1, -1), 0, max_order=2)
-        beta = sampling.rathom(rng, ext.f_frame, ext.e_frame, max_order=2)
+        beta = sampling.rathom(rng, ext.f_frame, ext.e_frame, max_order=2, poly_deg=1)
         G = graph_subbundle(ext, beta)
+        # beta written in partial fractions: the parser reads its tails
+        tails = prin_of(beta)
+        text = "format: symplext/1\nE: -1 -1\nL: 0\n" + "".join(
+            f"beta[{i + 1},{j + 1}]: {_partial_fraction_text(beta, tails, i, j)}\n"
+            for i in range(2)
+            for j in range(2)
+        )
+        parsed = parse_document(text).beta
+        _check(parsed == beta, "beta in partial fractions parses to another map")
+        _check(parsed.tails == tails, "the tails read off the text are not prin_of(beta)")
+        _check(graph_subbundle(ext, parsed) == G, "the parsed beta has another graph")
         _check(
             G.degree == sum(ext.f_frame) - prin_length(G.q),
             "degree is not deg F minus the length of q",

@@ -28,6 +28,7 @@ from .errors import FrameMismatch, NotACochain, NotACoboundary
 from .ratfield import (
     INFINITY,
     PointP1,
+    PartialFractions,
     Poly,
     RatFunc,
     _as_ratfunc,
@@ -39,6 +40,7 @@ __all__ = [
     "PrinHom",
     "CohClass",
     "prin_of",
+    "prin_of_partial_fractions",
     "assembled_finite",
     "reduce_class",
     "is_coboundary",
@@ -257,6 +259,44 @@ def prin_of(phi: RatHom) -> PrinHom:
             for pp in full_principal_part(phi[i, j], phi.twist(i, j)):
                 slot(pp.point)[i][j] = pp.coeffs
     return PrinHom(phi.src, phi.dst, parts)
+
+
+def prin_of_partial_fractions(src, dst, forms: Sequence[Sequence[PartialFractions]]) -> PrinHom:
+    """prin_of of the map whose entry (i, j) is written in the partial
+    fractions forms[i][j] (see ratfield._partial_fractions), read off the
+    form with no gcd and no root search.
+
+    The finite tails are those of the form.  At infinity, in the twist t
+    of the entry, c z^m adds c at order m - t when m > t, and the finite
+    tails add orders 1 .. -t-1 (_excess_ints).
+    """
+    src, dst = as_frame(src), as_frame(dst)
+    parts: dict[PointP1, list[list[Coeffs]]] = {}
+    for i, row in enumerate(forms):
+        for j, (tails, _) in enumerate(row):
+            for a, tail in tails.items():
+                pt = PointP1.finite(a)
+                if pt not in parts:
+                    parts[pt] = [[() for _ in src] for _ in dst]
+                parts[pt][i][j] = tail
+    finite = {pt: tuple(map(tuple, mat)) for pt, mat in parts.items()}
+    p = _prinhom(src, dst, finite)
+    at_inf = []
+    for i, row in enumerate(forms):
+        out = []
+        for j, (_, poly) in enumerate(row):
+            t = dst[i] - src[j]
+            exc, den = _excess_ints(p, i, j)
+            tail = [Fraction(x, den) for x in exc]
+            for m, c in poly.items():
+                if m > t:
+                    tail.extend([Fraction(0)] * (m - t - len(tail)))
+                    tail[m - t - 1] += c
+            out.append(_trim(tail))
+        at_inf.append(tuple(out))
+    if not any(c for row in at_inf for c in row):
+        return p
+    return _prinhom(src, dst, {**finite, INFINITY: tuple(at_inf)})
 
 
 def _finite_tails(
@@ -569,6 +609,11 @@ def lift_rational(p: PrinHom) -> RatHom:
             f"obstructed at infinity order {k} in twist {p.twist(i, j)}"
             f" of entry ({i}, {j})"
         )
+    return _lift(p)
+
+
+def _lift(p: PrinHom) -> RatHom:
+    # lift_rational of a p whose class the caller has already found zero
     entries = []
     for i in range(p.nrows):
         row = []

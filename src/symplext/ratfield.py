@@ -57,6 +57,7 @@ __all__ = [
     "poly_text",
     "ratfunc_text",
     "parse_ratfunc",
+    "parse_partial_fractions",
     "ParseBudget",
     "PARSE_WORK",
     "PARSE_WORK_PER_CHAR",
@@ -927,8 +928,18 @@ def frac_text(c: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
+    s = text.strip()
+    n, slash, d = s.partition("/")
+    digits = n[1:] if n[:1] in ("+", "-") else n
     try:
-        return Fraction(text.strip())
+        # a plain ASCII [+-]n or [+-]n/d needs no regex; anything else, and
+        # every error, is Fraction's own
+        if s.isascii() and digits.isdigit():
+            if not slash:
+                return Fraction(int(n))
+            if d.isdigit():
+                return Fraction(int(n), int(d))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational number: {text!r}") from exc
 
@@ -1269,13 +1280,8 @@ class _ExprParser:
         raise ParseError(f"unexpected token {t!r}")
 
 
-def parse_ratfunc(
-    text: str, var: str = "z", budget: ParseBudget | None = None
-) -> RatFunc:
-    """Parse the expression grammar the printers emit (and reasonable
-    hand-written variants).  Round-trips ratfunc_text output bit-exactly.
-    Every operation is bounded by MAX_SIZE, and the operations charge the
-    given budget, or a budget for this text alone (see ParseBudget)."""
+def _parse(text: str, var: str, budget: ParseBudget | None) -> tuple[RatFunc, list]:
+    """The value of an expression (see parse_ratfunc) and its tokens."""
     if budget is None:
         budget = ParseBudget(len(text))
     toks = _tokenize(text, var)
@@ -1288,4 +1294,114 @@ def parse_ratfunc(
         raise ParseError("division by zero in expression") from None
     if p.pos != len(toks):
         raise ParseError(f"trailing tokens in expression: {text!r}")
-    return out
+    return out, toks
+
+
+def parse_ratfunc(
+    text: str, var: str = "z", budget: ParseBudget | None = None
+) -> RatFunc:
+    """Parse the expression grammar the printers emit (and reasonable
+    hand-written variants).  Round-trips ratfunc_text output bit-exactly.
+    Every operation is bounded by MAX_SIZE, and the operations charge the
+    given budget, or a budget for this text alone (see ParseBudget)."""
+    return _parse(text, var, budget)[0]
+
+
+# An expression in partial fractions: its finite tails {a: (c_1, ..., c_K)}
+# (c_k multiplies (z - a)^-k), trimmed and nonzero, and its polynomial part
+# {m: c_m} with no zero coefficient.
+PartialFractions = tuple[dict[Fraction, tuple[Fraction, ...]], dict[int, Fraction]]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def parse_partial_fractions(
+    text: str, budget: ParseBudget | None = None
+) -> tuple[RatFunc, PartialFractions | None]:
+    """parse_ratfunc in the variable z, plus the partial fractions the
+    text is written in, or None (see _partial_fractions)."""
+    f, toks = _parse(text, "z", budget)
+    return f, _partial_fractions(toks)
+
+
+def _partial_fractions(toks: list) -> PartialFractions | None:
+    """The partial fractions of the tokens of a parsed expression written
+    as a sum of c/(z - a)^k, c/(z + a)^k, c/z^k (k >= 1), c*z^m, z^m and
+    c, with c and a each n or n/d and one sign before each summand; None
+    for any other text.  The grouping is the parser's: 3/4/z is (3/4)/z
+    and -3/z^2 is (-3)/z^2.  Repeated terms add up."""
+    n = len(toks)
+
+    def number(i: int) -> tuple[Fraction, int] | None:
+        # n or n/d at i, and the index after it
+        if i >= n or not isinstance(toks[i], int):
+            return None
+        if i + 2 < n and toks[i + 1] == "/" and isinstance(toks[i + 2], int):
+            return Fraction(toks[i], toks[i + 2]), i + 3
+        return Fraction(toks[i]), i + 1
+
+    def power(i: int) -> tuple[int, int]:
+        # the exponent at i, if any, of a base that ends before i
+        if toks[i : i + 1] == ["^"]:
+            return toks[i + 1], i + 2  # the parser took it as an int
+        return 1, i
+
+    def summand(i: int):
+        # ((a, k), c, next) for c/(z - a)^k, ((None, m), c, next) for c*z^m
+        c = _ONE
+        if toks[i : i + 1] != ["VAR"]:
+            got = number(i)
+            if got is None:
+                return None
+            c, i = got
+            if i == n or toks[i] in ("+", "-"):
+                return (None, 0), c, i
+            if toks[i] == "/":
+                if toks[i + 1 : i + 2] == ["VAR"]:
+                    a, i = _ZERO, i + 2
+                elif toks[i + 1 : i + 4] in (["(", "VAR", "-"], ["(", "VAR", "+"]):
+                    got = number(i + 4)
+                    if got is None or toks[got[1] : got[1] + 1] != [")"]:
+                        return None
+                    a = got[0] if toks[i + 3] == "-" else -got[0]
+                    i = got[1] + 1
+                else:
+                    return None
+                k, i = power(i)
+                return ((a, k), c, i) if k >= 1 else None
+            if toks[i] != "*":
+                return None
+            i += 1
+        if toks[i : i + 1] != ["VAR"]:
+            return None
+        m, i = power(i + 1)
+        return (None, m), c, i
+
+    terms: dict[tuple[Fraction | None, int], Fraction] = {}
+    i = 0
+    while i < n:
+        sign = 1
+        if toks[i] in ("+", "-"):
+            sign, i = (-1 if toks[i] == "-" else 1), i + 1
+        elif i:
+            return None  # summands are joined by + and -
+        got = summand(i)
+        if got is None:
+            return None
+        key, c, i = got
+        if sign < 0:
+            c = -c
+        terms[key] = terms[key] + c if key in terms else c
+    tails: dict[Fraction, list[Fraction]] = {}
+    for (a, k), c in terms.items():
+        if a is not None:
+            tail = tails.setdefault(a, [])
+            tail.extend([_ZERO] * (k - len(tail)))
+            tail[k - 1] = c
+    out = {}
+    for a, tail in tails.items():
+        while tail and not tail[-1]:
+            tail.pop()
+        if tail:
+            out[a] = tuple(tail)
+    return out, {m: c for (a, m), c in terms.items() if a is None and c}

@@ -37,8 +37,8 @@ from .errors import (
 from .forms import ExtensionData, RatSectionW, _StructuredExtension
 from .prinparts import (
     PrinHom,
+    _lift,
     _u_chart_tail,
-    lift_rational,
     local_condition_matrix,
     prin_of,
     reduce_class,
@@ -321,7 +321,8 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     """Graph closure of a rational map beta : F -> E inside W.
 
     Solves the jet systems of q = p - prin_of(beta) at each support
-    point, builds the chart-0 module basis of the F-sections satisfying
+    point (prin_of(beta) is beta.tails when the parser read them off the
+    text), builds the chart-0 module basis of the F-sections satisfying
     the finite conditions (it must have rank n), and reads the degree off
     the ranks of the conditions, whose sum is the length of q.  The
     splitting type comes from that basis reduced to shifted weak Popov
@@ -336,7 +337,8 @@ def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
     """
     if beta.src != ext.f_frame or beta.dst != ext.e_frame:
         raise FrameMismatch("beta must map the dual frame to E")
-    return _graph_subbundle(ext, beta, ext.p - prin_of(beta))
+    tails = beta.tails if beta.tails is not None else prin_of(beta)
+    return _graph_subbundle(ext, beta, ext.p - tails)
 
 
 def graph_of_defect(ext: ExtensionData, q: PrinHom) -> GraphSubbundle:
@@ -350,7 +352,8 @@ def graph_of_defect(ext: ExtensionData, q: PrinHom) -> GraphSubbundle:
         raise FrameMismatch("q must share the frames of p")
     if reduce_class(q) != ext.extension_class():
         raise ClassMismatch("q does not represent the class of the extension")
-    return _graph_subbundle(ext, lift_rational(ext.p - q), q)
+    # [p - q] = 0 was just checked: the lift needs no second class check
+    return _graph_subbundle(ext, _lift(ext.p - q), q)
 
 
 def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbundle:
@@ -1055,7 +1058,8 @@ def search_lagrangian(
                 sign,
                 [(slot, tails[t]) for slot, t in zip(slots, head + tail_choice)],
             )
-            out.append(_graph_subbundle(ext, lift_rational(ext.p - q), q))
+            # the packed sums matched [q] to [p]: p - q lifts unchecked
+            out.append(_graph_subbundle(ext, _lift(ext.p - q), q))
             if len(out) >= bounds.cap:
                 return out
     return out

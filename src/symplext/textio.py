@@ -22,15 +22,16 @@ from typing import Optional
 
 from .bundles import RatHom, dual_frame
 from .errors import FrameMismatch, ParseError
-from .prinparts import CohClass, PrinHom
+from .prinparts import CohClass, PrinHom, prin_of_partial_fractions
 from .ratfield import (
     ParseBudget,
+    PartialFractions,
     PointP1,
     RatFunc,
     frac_text,
     parse_frac,
+    parse_partial_fractions,
     parse_point,
-    parse_ratfunc,
     point_text,
     ratfunc_text,
 )
@@ -173,9 +174,11 @@ def _parse_yesno(lineno: int, value: str) -> bool:
     _fail(lineno, f"expected yes or no, got {value!r}")
 
 
-def _parse_entry_value(lineno: int, value: str, budget: ParseBudget) -> RatFunc:
+def _parse_entry_value(
+    lineno: int, value: str, budget: ParseBudget
+) -> tuple[RatFunc, Optional[PartialFractions]]:
     try:
-        return parse_ratfunc(value, budget=budget)
+        return parse_partial_fractions(value, budget)
     except ParseError as exc:
         _fail(lineno, f"bad rational function: {exc}")
 
@@ -198,7 +201,7 @@ class _Builder:
         self.scalar_lines = {}
         self.prin = {"p": {}, "q": {}}
         self.prin_zero = set()
-        self.mats = {"beta": {}, "alpha": {}}
+        self.mats = {"beta": {}, "alpha": {}}  # (i, j) -> (value, form)
         self.mat_zero = set()
         self.class_entries = {}
         self.class_zero = False
@@ -362,11 +365,19 @@ class _Builder:
         n = len(degrees)
         zero = RatFunc.zero()
         rows = [[zero for _ in range(n)] for _ in range(n)]
-        for (i, j), f in raw.items():
+        forms = [[({}, {}) for _ in range(n)] for _ in range(n)]
+        for (i, j), (f, form) in raw.items():
             if i > n or j > n:
                 raise ParseError(f"{name} index ({i},{j}) exceeds rank {n}")
             rows[i - 1][j - 1] = f
-        return RatHom(dual_frame(degrees, ell), degrees, rows)
+            forms[i - 1][j - 1] = form
+        src = dual_frame(degrees, ell)
+        if name != "beta" or any(form is None for row in forms for form in row):
+            return RatHom(src, degrees, rows)
+        # every entry of beta is in partial fractions: the graph reads its
+        # tails from here
+        tails = prin_of_partial_fractions(src, degrees, forms)
+        return RatHom._with_tails(src, degrees, rows, tails)
 
     def _build_class(self):
         if not self.class_seen:

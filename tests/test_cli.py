@@ -313,22 +313,32 @@ def test_search_runs_isotropy_once_per_graph(tmp_path, capsys, monkeypatch):
     assert calls["direct"] == 0
 
 
+# the beta of RANK1_SUBBUNDLE, 2/(z - 3), not written in partial fractions
+RANK1_SUBBUNDLE_QUOTIENT = RANK1_SUBBUNDLE.replace(
+    "2/(z - 3)", "(2*z - 4)/(z^2 - 5*z + 6)"
+)
+
+
 @pytest.mark.parametrize(
     "command, text, expected",
     [
-        ("subbundle", RANK1_SUBBUNDLE, 1),
+        # a beta written in partial fractions carries its tails
+        ("subbundle", RANK1_SUBBUNDLE, 0),
         # a q record cuts out its graph with the q it holds
         ("subbundle", RANK1_GENERATOR + "q[1; 1,1]: 1\n", 0),
         # the structure check checks its alpha on the support of t(p) - p,
         # with no prin_of
-        ("isotropy", RANK1_ISOTROPY, 1),
+        ("isotropy", RANK1_ISOTROPY, 0),
+        # any other beta has its tails found once
+        ("subbundle", RANK1_SUBBUNDLE_QUOTIENT, 1),
     ],
 )
 def test_graph_commands_run_prin_of_once_per_graph(
     tmp_path, capsys, monkeypatch, command, text, expected
 ):
-    # q = p - prin_of(beta) is computed at most once, in graph_subbundle;
-    # the command and regularity_check read it from the graph
+    # q = p - prin_of(beta) is computed at most once, in graph_subbundle,
+    # and not at all when the parser read the tails of beta off its text;
+    # the command and regularity_check read q from the graph
     real = sys.modules["symplext.prinparts"].prin_of
     calls = []
 
@@ -342,6 +352,44 @@ def test_graph_commands_run_prin_of_once_per_graph(
     code, _, _ = run(capsys, [command, write(tmp_path, text)])
     assert code == 0
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("command", ["subbundle", "isotropy"])
+def test_graph_commands_agree_on_both_spellings_of_beta(tmp_path, capsys, command):
+    # tails read off partial fractions, or found by prin_of: the same output
+    got = [
+        run(capsys, [command, "--machine", write(tmp_path, text, name)])
+        for name, text in (
+            ("fractions.txt", RANK1_SUBBUNDLE),
+            ("quotient.txt", RANK1_SUBBUNDLE_QUOTIENT),
+        )
+    ]
+    assert got[0] == got[1]
+    assert got[0][1]
+
+
+def test_search_hits_lift_without_a_class_check(capsys, monkeypatch):
+    # the packed class sums already matched each hit's class to [p], so
+    # more hits reduce no more classes
+    real = sys.modules["symplext.prinparts"].reduce_class
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symplext") and getattr(module, "reduce_class", None) is real:
+            monkeypatch.setattr(module, "reduce_class", counting)
+    readme = str(Path(__file__).parent / "golden" / "readme.txt")
+    counts = []
+    for cap in (1, 25):
+        calls.clear()
+        bounds = f"points=0,1,inf;order=2;values=0,1,-1;cap={cap}"
+        code, out, _ = run(capsys, ["search", "--machine", "--bounds", bounds, readme])
+        assert code == 0 and len(parse_document(out).results) == cap
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("bounds", ["points=0;order=0", "points=0;cap=0"])
@@ -706,6 +754,36 @@ def test_graph_of_a_q_record_at_a_point_of_large_height_ends(tmp_path, argv, lin
     assert time.perf_counter() - start < 10
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+# a beta in partial fractions with its pole at that point: the graph reads
+# its tails off the text, and no root search looks for the pole
+LARGE_POINT_BETA = LARGE_POINT + (
+    "beta[1,2]: 1/(z - 10000000000000000)\n"
+    "beta[2,1]: 1/(z - 10000000000000000)\n"
+)
+
+
+@pytest.mark.parametrize("argv", [["isotropy", "--kind", "orthogonal"], ["subbundle"]])
+def test_graph_of_a_beta_at_a_point_of_large_height_ends(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    outs = []
+    for name, text in (
+        ("large.txt", LARGE_POINT_BETA),
+        ("three.txt", LARGE_POINT_BETA.replace("10000000000000000", "3")),
+    ):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "symplext", *argv, write(tmp_path, text, name)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # ------------------------------------------------------------

@@ -804,3 +804,53 @@ def test_ratfunc_elimination_matches_gauss_jordan():
             assert rank(rows) == len(ref_pivots)
             checked += 1
     assert checked >= 200
+
+
+def _frac_or_error(text):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return ParseError
+
+
+def _parse_frac_or_error(text):
+    try:
+        return parse_frac(text)
+    except ParseError as exc:
+        assert str(exc) == f"bad rational number: {text!r}"
+        return ParseError
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+3", "-0", "0/5", "3/0", "1_0", " 3 ", "1.5", "１２", "3/ 4", "--1", "/3", "3/",
+     "-12/18", "+7/1", "3/-4", "5" * 5000, "1/" + "7" * 5000],
+)
+def test_parse_frac_agrees_with_fraction(text):
+    # plain ASCII numbers skip Fraction's regex; the value and every error
+    # stay Fraction's own
+    got = _parse_frac_or_error(text)
+    assert got == _frac_or_error(text)
+    assert type(got) is type(_frac_or_error(text))
+
+
+def test_parse_frac_agrees_with_fraction_on_seeded_tokens():
+    rng = random.Random(20261019)
+    alphabet = "0123456789+-/ ._e"
+
+    def digits():
+        return str(rng.randint(0, 10 ** rng.randint(1, 30)))
+
+    valid = 0
+    for k in range(500):
+        if k % 2:
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
+        else:  # mostly [+-]n or [+-]n/d, with spaces around
+            text = rng.choice(["", "+", "-"]) + digits()
+            if rng.random() < 0.6:
+                text += "/" + digits()
+            text = " " * rng.randint(0, 1) + text + " " * rng.randint(0, 1)
+        got = _parse_frac_or_error(text)
+        assert got == _frac_or_error(text), text
+        valid += got is not ParseError
+    assert valid > 200

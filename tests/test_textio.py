@@ -1,8 +1,11 @@
 """The structured-text format: parsing, serialization, and strictness."""
 
+import importlib.util
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from symplext.bundles import RatHom
 from symplext.errors import ParseError
-from symplext.prinparts import PrinHom
+from symplext.prinparts import PrinHom, has_prin, prin_of
 from symplext.ratfield import (
     INFINITY,
     MAX_SIZE,
@@ -20,6 +23,7 @@ from symplext.ratfield import (
     PointP1,
     Poly,
     RatFunc,
+    parse_partial_fractions,
     parse_ratfunc,
 )
 from symplext.subbundles import SearchBounds
@@ -31,6 +35,20 @@ from symplext.textio import (
     parse_document,
     serialize_document,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _load_gen():
+    # the benchmark's own file generator, imported without running anything
+    path = Path(__file__).parent.parent / "perfbench" / "gen.py"
+    gen = sys.modules.get("bench_gen")
+    if gen is None:
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+    return gen
+
 
 P0 = PointP1.finite(0)
 P1 = PointP1.finite(1)
@@ -434,3 +452,157 @@ def test_parse_document_raises_only_parse_error(text):
         parse_document(text)
     except ParseError:
         pass
+
+
+# ------------------------------------------------------------
+# principal parts read off partial fractions
+# ------------------------------------------------------------
+
+BIG = Fraction(10**16)
+PF_POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2), BIG)
+
+
+def _coeff_text(c: Fraction) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _atom_text(rng, a, k, c) -> str:
+    """c/(z - a)^k (a a point) or c*z^k (a None), one spelling drawn."""
+    mag = abs(c)
+    power = "" if k == 1 and rng.random() < 0.5 else f"^{k}"
+    if a is None:
+        if k == 0:
+            return _coeff_text(mag)
+        return ("" if mag == 1 else _coeff_text(mag) + "*") + "z" + power
+    if a == 0:
+        base = "z"
+    else:
+        base = f"(z {'-' if a > 0 else '+'} {_coeff_text(abs(a))})"
+    return f"{_coeff_text(mag)}/{base}{power}"
+
+
+def _pf_entry(rng) -> tuple[str, bool]:
+    """A seeded sum in partial fractions and whether it has a pole at BIG.
+    Terms repeat at one point and order, and a top coefficient may cancel."""
+    atoms = []
+    for _ in range(rng.randint(0, 4)):
+        a = rng.choice(PF_POINTS)
+        k = rng.randint(1, 3)
+        c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+        atoms.append((a, k, c))
+        if rng.random() < 0.3:
+            atoms.append((a, k, -c))  # cancels this term
+        elif rng.random() < 0.3:
+            atoms.append((a, k, Fraction(1)))  # adds to it
+    for _ in range(rng.randint(0, 2)):
+        atoms.append((None, rng.randint(0, 3), Fraction(rng.randint(-4, 4), rng.randint(1, 2))))
+    rng.shuffle(atoms)
+    atoms = [x for x in atoms if x[2]]
+    if not atoms:
+        return "0", False
+    text = ""
+    for n, (a, k, c) in enumerate(atoms):
+        sign = "-" if c < 0 else ("+" if n or rng.random() < 0.2 else "")
+        text += (f" {sign} " if n else sign) + _atom_text(rng, a, k, c)
+    return text, any(a == BIG for a, _, _ in atoms)
+
+
+def _pf_document(rng) -> tuple[str, bool]:
+    # twists t = d_i + d_j - L from -7 to 4: tails at infinity from the
+    # finite tails, and polynomial parts with and without a pole there
+    n = rng.randint(1, 3)
+    degrees = [rng.randint(-3, 2) for _ in range(n)]
+    lines = ["format: symplext/1", "E: " + " ".join(map(str, degrees)), f"L: {rng.randint(-1, 1)}"]
+    big = False
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if rng.random() < 0.2:
+                continue  # a zero entry
+            text, has_big = _pf_entry(rng)
+            lines.append(f"beta[{i},{j}]: {text}")
+            big = big or has_big
+    if len(lines) == 3:
+        lines.append("beta: 0")
+    return "\n".join(lines) + "\n", big
+
+
+def test_partial_fraction_tails_are_those_of_the_value():
+    rng = random.Random(20261019)
+    checked = big = 0
+    while checked < 320:
+        text, has_big = _pf_document(rng)
+        beta = parse_document(text).beta
+        assert beta.tails is not None, text
+        if has_big:
+            # prin_of would search 10^8 divisors for the pole at BIG;
+            # has_prin holds iff prin_of(beta) == beta.tails
+            assert has_prin(beta, beta.tails), text
+            big += 1
+        else:
+            assert beta.tails == prin_of(beta), text
+        checked += 1
+    assert big >= 30
+
+
+def test_partial_fraction_tails_of_benchmark_and_golden_files():
+    gen = _load_gen()
+    texts = [
+        text
+        for seed in (1, 5, 11)
+        for text in gen.generate("graphs", seed)[0].values()
+    ]
+    texts += [f.read_text() for f in sorted(GOLDEN.glob("*.txt"))]
+    seen = 0
+    for text in texts:
+        beta = parse_document(text).beta
+        if beta is None:
+            continue
+        seen += 1
+        if "(z + 1)/(z - 1)" in text:  # rank3.txt: one entry is a quotient
+            assert beta.tails is None
+        else:
+            assert beta.tails is not None and beta.tails == prin_of(beta)
+    assert seen > 100
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("(z + 1)/(z - 1)", RatFunc(Poly((1, 1)), Poly((-1, 1)))),
+        ("(2)/(z - 3)", RatFunc(Poly((2,)), Poly((-3, 1)))),
+        ("z^2/3", RatFunc(Poly((0, 0, Fraction(1, 3))))),
+        ("1/(z^2 - 1)", RatFunc(Poly((1,)), Poly((-1, 0, 1)))),
+        ("(z - -2)", RatFunc(Poly((2, 1)))),
+    ],
+)
+def test_text_outside_partial_fractions_carries_no_tails(text, value):
+    doc = parse_document(f"format: symplext/1\nE: -1 0\nL: 0\nbeta[1,2]: 1/z\nbeta[2,1]: {text}\n")
+    assert doc.beta.tails is None
+    assert doc.beta[1, 0] == value == parse_ratfunc(text)
+
+
+def test_tails_take_no_part_in_equality_and_arithmetic():
+    text = "format: symplext/1\nE: -1\nL: 0\nbeta[1,1]: 2/(z - 3) + z\n"
+    beta = parse_document(text).beta
+    plain = RatHom((1,), (-1,), [[parse_ratfunc("2/(z - 3) + z")]])
+    assert beta.tails is not None and plain.tails is None
+    assert beta == plain and hash(beta) == hash(plain) and repr(beta) == repr(plain)
+    assert (beta + plain).tails is None and (-beta).tails is None
+    assert beta.scale(2).tails is None and (beta - plain).tails is None
+
+
+@pytest.mark.parametrize(
+    "text, tails, poly",
+    [
+        ("3/4/z^1", {Fraction(0): (Fraction(3, 4),)}, {}),
+        ("-3/z^2", {Fraction(0): (0, Fraction(-3))}, {}),
+        ("+1/(z + 1/2) - z + 2", {Fraction(-1, 2): (Fraction(1),)}, {1: -1, 0: 2}),
+        ("1/(z - 1)^2 - 1/(z - 1)^2 + 3/(z - 1)", {Fraction(1): (Fraction(3),)}, {}),
+        ("1/(z - 1)^2 - 1/(z - 1)^2", {}, {}),
+        ("5/2*z^3 + z^3", {}, {3: Fraction(7, 2)}),
+    ],
+)
+def test_partial_fractions_read_as_the_grammar_groups(text, tails, poly):
+    f, form = parse_partial_fractions(text)
+    assert f == parse_ratfunc(text)
+    assert form == (tails, poly)
