@@ -287,10 +287,13 @@ def cmd_search(args) -> int:
     if se is None:
         return _no_structure(args, ext, kind)
     bounds = _bounds_of(args, doc)
-    found = search_lagrangian(se, bounds)
-    found = sorted(found, key=lambda G: "\n".join(prin_lines("q", G.q)))
+    # each hit's q printed once: its lines are the sort key and the output
+    found = sorted(
+        ((prin_lines("q", G.q), G) for G in search_lagrangian(se, bounds)),
+        key=lambda hit: "\n".join(hit[0]),
+    )
     records = []
-    for G in found:
+    for _, G in found:
         # every graph search_lagrangian returns is isotropic by
         # construction, which the linear and direct certificates state
         certs = ("prin",) if isotropy_prin(G.q, kind) else ()
@@ -313,12 +316,11 @@ def cmd_search(args) -> int:
         results=records,
     )
     human = [f"results: {len(records)}"]
-    for k, rec in enumerate(records, 1):
-        qtext = "; ".join(prin_lines("q", rec.q))
+    for k, (rec, (qlines, _)) in enumerate(zip(records, found), 1):
         human.append(
             f"G[{k}]: degree={rec.degree}"
             f" splitting={','.join(str(a) for a in rec.splitting)}"
-            f" certificates={','.join(rec.certificates)} {qtext}"
+            f" certificates={','.join(rec.certificates)} {'; '.join(qlines)}"
         )
     if not records:
         human.append("no isotropic subbundles within the bounds")
@@ -469,13 +471,21 @@ def _suite_graphs(rng) -> int:
         beta = sampling.rathom(rng, ext.f_frame, ext.e_frame, max_order=2, poly_deg=1)
         G = graph_subbundle(ext, beta)
         # beta written in partial fractions: the parser reads its tails
+        # and builds its value from them
         tails = prin_of(beta)
-        text = "format: symplext/1\nE: -1 -1\nL: 0\n" + "".join(
-            f"beta[{i + 1},{j + 1}]: {_partial_fraction_text(beta, tails, i, j)}\n"
+        entries = {
+            (i, j): _partial_fraction_text(beta, tails, i, j)
             for i in range(2)
             for j in range(2)
+        }
+        text = "format: symplext/1\nE: -1 -1\nL: 0\n" + "".join(
+            f"beta[{i + 1},{j + 1}]: {entry}\n" for (i, j), entry in entries.items()
         )
         parsed = parse_document(text).beta
+        _check(
+            all(parsed[ij] == parse_ratfunc(entry) for ij, entry in entries.items()),
+            "a closed-form value is not the general parser's",
+        )
         _check(parsed == beta, "beta in partial fractions parses to another map")
         _check(parsed.tails == tails, "the tails read off the text are not prin_of(beta)")
         _check(graph_subbundle(ext, parsed) == G, "the parsed beta has another graph")

@@ -34,6 +34,7 @@ from .ratfield import (
     _as_ratfunc,
     as_fraction,
     full_principal_part,
+    tails_num_den,
 )
 
 __all__ = [
@@ -263,7 +264,7 @@ def prin_of(phi: RatHom) -> PrinHom:
 
 def prin_of_partial_fractions(src, dst, forms: Sequence[Sequence[PartialFractions]]) -> PrinHom:
     """prin_of of the map whose entry (i, j) is written in the partial
-    fractions forms[i][j] (see ratfield._partial_fractions), read off the
+    fractions forms[i][j] (see ratfield._summands), read off the
     form with no gcd and no root search.
 
     The finite tails are those of the form.  At infinity, in the twist t
@@ -303,24 +304,12 @@ def _finite_tails(
     p: PrinHom, i: int, j: int, skip: PointP1 | None = None
 ) -> tuple[Poly, Poly]:
     """The finite tails of entry (i, j), optionally leaving out one point,
-    summed as num / den in lowest terms.
-
-    den = prod (z - a)^m_a and num = sum_a T_a prod_{b != a} (z - b)^m_b,
-    where T_a = sum_k c_k (z - a)^(m_a - k) is the tail at a over its own
-    pole.  Tails are trimmed and points distinct, so at each root a of den
-    num(a) = c_{m_a} prod_{b != a} (a - b)^m_b != 0: the pair is coprime
-    with no gcd taken.
-    """
-    num, den = Poly.zero(), Poly.one()
-    for pt, mat in p.parts.items():
-        tail = mat[i][j]
-        if pt.is_infinity or pt == skip or not tail:
-            continue
-        a = pt.value
-        pole = Poly((-a, 1)) ** len(tail)
-        num = num * pole + Poly(tail[::-1]).shift(-a) * den
-        den = den * pole
-    return num, den
+    summed as num / den in lowest terms by ratfield.tails_num_den."""
+    return tails_num_den(
+        (pt.value, mat[i][j])
+        for pt, mat in p.parts.items()
+        if mat[i][j] and not pt.is_infinity and pt != skip
+    )
 
 
 def assembled_finite(p: PrinHom, i: int, j: int) -> RatFunc:

@@ -243,7 +243,8 @@ class Poly:
         a, b = self._ints, other._ints
         if not a or not b:
             return _ZERO_POLY
-        content = self._content * other._content
+        ca, cb = self._content, other._content
+        content = cb if ca == 1 else ca if cb == 1 else ca * cb
         # a primitive constant is 1
         if len(a) == 1:
             return _make(b, content)
@@ -866,6 +867,24 @@ class PolarPart:
         return RatFunc(num, lin ** m)
 
 
+def tails_num_den(tails: Iterable[tuple[Fraction, Sequence[Fraction]]]) -> tuple[Poly, Poly]:
+    """The sum of polar tails (a, (c_1, ..., c_m)), c_k multiplying
+    (z - a)^-k, as num / den in lowest terms, with no gcd taken.
+
+    den = prod (z - a)^m_a and num = sum_a T_a prod_{b != a} (z - b)^m_b,
+    where T_a = sum_k c_k (z - a)^(m_a - k) is the tail at a over its own
+    pole.  For trimmed tails at distinct points, at each root a of den
+    num(a) = c_{m_a} prod_{b != a} (a - b)^m_b != 0: the pair is coprime,
+    and so is num + den * P for any polynomial P.
+    """
+    num, den = _ZERO_POLY, _ONE_POLY
+    for a, tail in tails:
+        pole = Poly((-a, 1)) ** len(tail)
+        num = num * pole + Poly(tail[::-1]).shift(-a) * den
+        den = den * pole
+    return num, den
+
+
 def polar_coeffs_as_ratfunc(a: Fraction, coeffs: Sequence[Fraction]) -> RatFunc:
     """sum over k of coeffs[k-1] / (z - a)^k, exact."""
     return PolarPart(PointP1.finite(a), tuple(coeffs)).as_ratfunc()
@@ -1027,8 +1046,11 @@ class ParseBudget:
     two non-constant polynomials charges the square of the bound on its
     size (see _work); sums of polynomials, operations with a constant
     operand and powers of a single term are linear and charge nothing.
-    parse_document hands one budget to all of its entries, and parsing
-    raises ParseError once the charges pass the budget."""
+    A text in partial fractions whose value is built in closed form
+    charges those steps up front, with every coefficient counted as one
+    word (see _merged).  parse_document hands one budget to all of its
+    entries, and parsing raises ParseError once the charges pass the
+    budget."""
 
     __slots__ = ("left",)
 
@@ -1184,22 +1206,23 @@ class _PolySum:
         return RatFunc(_primitive(self.ints, Fraction(1, self.den)))
 
 
+def _charge(budget: ParseBudget, work: int) -> None:
+    if not work:
+        return
+    budget.left -= work
+    if budget.left < 0:
+        raise ParseError(
+            "expressions too large: their products and gcds pass the "
+            f"parse budget ({PARSE_WORK} plus "
+            f"{PARSE_WORK_PER_CHAR} per character)"
+        )
+
+
 class _ExprParser:
     def __init__(self, toks: list, budget: ParseBudget):
         self.toks = toks
         self.pos = 0
         self.budget = budget
-
-    def _charge(self, work: int) -> None:
-        if not work:
-            return
-        self.budget.left -= work
-        if self.budget.left < 0:
-            raise ParseError(
-                "expressions too large: their products and gcds pass the "
-                f"parse budget ({PARSE_WORK} plus "
-                f"{PARSE_WORK_PER_CHAR} per character)"
-            )
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -1226,7 +1249,7 @@ class _ExprParser:
                 continue
             if run is not None:
                 acc, run = run.ratfunc(), None
-            self._charge(_work(acc, op, t, _check_budget(acc, op, t)))
+            _charge(self.budget, _work(acc, op, t, _check_budget(acc, op, t)))
             acc = acc + t if op == "+" else acc - t
         return acc if run is None else run.ratfunc()
 
@@ -1235,7 +1258,7 @@ class _ExprParser:
         while self.peek() in ("*", "/"):
             op = self.take()
             t = self.unary()
-            self._charge(_work(acc, op, t, _check_budget(acc, op, t)))
+            _charge(self.budget, _work(acc, op, t, _check_budget(acc, op, t)))
             acc = acc * t if op == "*" else acc / t
         return acc
 
@@ -1262,7 +1285,7 @@ class _ExprParser:
                     f"(the product may be at most {MAX_EXPONENT})"
                 )
             if e > 1 and not (_is_term(base.num) and _is_term(base.den)):
-                self._charge((e * size) ** 2)
+                _charge(self.budget, (e * size) ** 2)
             return base ** e
         return base
 
@@ -1280,11 +1303,8 @@ class _ExprParser:
         raise ParseError(f"unexpected token {t!r}")
 
 
-def _parse(text: str, var: str, budget: ParseBudget | None) -> tuple[RatFunc, list]:
-    """The value of an expression (see parse_ratfunc) and its tokens."""
-    if budget is None:
-        budget = ParseBudget(len(text))
-    toks = _tokenize(text, var)
+def _evaluate(toks: list, text: str, budget: ParseBudget) -> RatFunc:
+    """The value of the tokens of an expression, by the general parser."""
     if not toks:
         raise ParseError("empty expression")
     p = _ExprParser(toks, budget)
@@ -1294,7 +1314,7 @@ def _parse(text: str, var: str, budget: ParseBudget | None) -> tuple[RatFunc, li
         raise ParseError("division by zero in expression") from None
     if p.pos != len(toks):
         raise ParseError(f"trailing tokens in expression: {text!r}")
-    return out, toks
+    return out
 
 
 def parse_ratfunc(
@@ -1304,13 +1324,19 @@ def parse_ratfunc(
     hand-written variants).  Round-trips ratfunc_text output bit-exactly.
     Every operation is bounded by MAX_SIZE, and the operations charge the
     given budget, or a budget for this text alone (see ParseBudget)."""
-    return _parse(text, var, budget)[0]
+    if budget is None:
+        budget = ParseBudget(len(text))
+    return _evaluate(_tokenize(text, var), text, budget)
 
 
 # An expression in partial fractions: its finite tails {a: (c_1, ..., c_K)}
 # (c_k multiplies (z - a)^-k), trimmed and nonzero, and its polynomial part
 # {m: c_m} with no zero coefficient.
 PartialFractions = tuple[dict[Fraction, tuple[Fraction, ...]], dict[int, Fraction]]
+
+# One summand as written (see _summands): (a, k, c, cbits, abits) for
+# c/(z - a)^k, and (None, m, c, cbits, 0) for c*z^m.
+Summand = tuple[Fraction | None, int, Fraction, int, int]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -1319,65 +1345,96 @@ def parse_partial_fractions(
     text: str, budget: ParseBudget | None = None
 ) -> tuple[RatFunc, PartialFractions | None]:
     """parse_ratfunc in the variable z, plus the partial fractions the
-    text is written in, or None (see _partial_fractions)."""
-    f, toks = _parse(text, "z", budget)
-    return f, _partial_fractions(toks)
+    text is written in, or None (see _summands).
+
+    When _fits shows that the general parser would refuse none of its
+    steps on such a text, the value is built from the partial fractions
+    in closed form, after the budget is charged the work of _merged.  Any
+    other text goes through the general parser, with its charges and its
+    errors."""
+    if budget is None:
+        budget = ParseBudget(len(text))
+    toks = _tokenize(text, "z")
+    summands = _summands(toks)
+    if summands is None:
+        return _evaluate(toks, text, budget), None
+    if not _fits(summands):
+        f = _evaluate(toks, text, budget)
+        return f, _merged(summands)[0]
+    form, work = _merged(summands)
+    _charge(budget, work)
+    tails, poly = form
+    num, den = tails_num_den(tails.items())
+    if poly:
+        num = num + den * Poly([poly.get(m, _ZERO) for m in range(max(poly) + 1)])
+    # coprime, see tails_num_den
+    return RatFunc._coprime(num, den), form
 
 
-def _partial_fractions(toks: list) -> PartialFractions | None:
-    """The partial fractions of the tokens of a parsed expression written
-    as a sum of c/(z - a)^k, c/(z + a)^k, c/z^k (k >= 1), c*z^m, z^m and
-    c, with c and a each n or n/d and one sign before each summand; None
-    for any other text.  The grouping is the parser's: 3/4/z is (3/4)/z
-    and -3/z^2 is (-3)/z^2.  Repeated terms add up."""
+def _summands(toks: list) -> list[Summand] | None:
+    """The summands of tokens written as a sum of c/(z - a)^k,
+    c/(z + a)^k, c/z^k (k >= 1), c*z^m, z^m and c, with c and a each n or
+    n/d (d != 0) and one sign before each summand; None for any other
+    tokens.  The grouping is the parser's: 3/4/z is (3/4)/z and -3/z^2 is
+    (-3)/z^2.  A summand carries the signed value of c, cbits =
+    max(bits n, 1) + bits d of c as written, and for a pole abits =
+    max(bits n, bits d) + 1 of a as written (bits: int.bit_length)."""
     n = len(toks)
 
-    def number(i: int) -> tuple[Fraction, int] | None:
-        # n or n/d at i, and the index after it
+    def number(i: int):
+        # n or n/d at i: (value, bits n, bits d, the index after it)
         if i >= n or not isinstance(toks[i], int):
             return None
         if i + 2 < n and toks[i + 1] == "/" and isinstance(toks[i + 2], int):
-            return Fraction(toks[i], toks[i + 2]), i + 3
-        return Fraction(toks[i]), i + 1
+            if not toks[i + 2]:
+                return None  # the parser reports the division by zero
+            d = toks[i + 2]
+            return Fraction(toks[i], d), toks[i].bit_length(), d.bit_length(), i + 3
+        return Fraction(toks[i]), toks[i].bit_length(), 1, i + 1
 
-    def power(i: int) -> tuple[int, int]:
+    def power(i: int) -> tuple[int | None, int]:
         # the exponent at i, if any, of a base that ends before i
-        if toks[i : i + 1] == ["^"]:
-            return toks[i + 1], i + 2  # the parser took it as an int
-        return 1, i
+        if toks[i : i + 1] != ["^"]:
+            return 1, i
+        if i + 1 < n and isinstance(toks[i + 1], int):
+            return toks[i + 1], i + 2
+        return None, i
 
     def summand(i: int):
-        # ((a, k), c, next) for c/(z - a)^k, ((None, m), c, next) for c*z^m
-        c = _ONE
+        # (summand, the index after it)
+        c, cbits = _ONE, 2
         if toks[i : i + 1] != ["VAR"]:
             got = number(i)
             if got is None:
                 return None
-            c, i = got
+            c, bn, bd, i = got
+            cbits = max(bn, 1) + bd
             if i == n or toks[i] in ("+", "-"):
-                return (None, 0), c, i
+                return (None, 0, c, cbits, 0), i
             if toks[i] == "/":
                 if toks[i + 1 : i + 2] == ["VAR"]:
-                    a, i = _ZERO, i + 2
+                    a, abits, i = _ZERO, 2, i + 2
                 elif toks[i + 1 : i + 4] in (["(", "VAR", "-"], ["(", "VAR", "+"]):
                     got = number(i + 4)
-                    if got is None or toks[got[1] : got[1] + 1] != [")"]:
+                    if got is None or toks[got[3] : got[3] + 1] != [")"]:
                         return None
-                    a = got[0] if toks[i + 3] == "-" else -got[0]
-                    i = got[1] + 1
+                    a, bn, bd, j = got
+                    if toks[i + 3] == "+":
+                        a = -a
+                    abits, i = max(bn, bd) + 1, j + 1
                 else:
                     return None
                 k, i = power(i)
-                return ((a, k), c, i) if k >= 1 else None
+                return ((a, k, c, cbits, abits), i) if k is not None and k >= 1 else None
             if toks[i] != "*":
                 return None
             i += 1
         if toks[i : i + 1] != ["VAR"]:
             return None
         m, i = power(i + 1)
-        return (None, m), c, i
+        return ((None, m, c, cbits, 0), i) if m is not None else None
 
-    terms: dict[tuple[Fraction | None, int], Fraction] = {}
+    out: list[Summand] = []
     i = 0
     while i < n:
         sign = 1
@@ -1388,20 +1445,75 @@ def _partial_fractions(toks: list) -> PartialFractions | None:
         got = summand(i)
         if got is None:
             return None
-        key, c, i = got
-        if sign < 0:
-            c = -c
-        terms[key] = terms[key] + c if key in terms else c
+        (a, k, c, cbits, abits), i = got
+        out.append((a, k, -c if sign < 0 else c, cbits, abits))
+    return out or None
+
+
+def _fits(summands: list[Summand]) -> bool:
+    """True when bounds read off the written summands show that the
+    general parser refuses none of its steps on them.
+
+    - Exponents: the power check reads the size of z - a, whose bits are
+      at most abits, so k * max(1, abits // 64) <= MAX_EXPONENT clears it.
+    - Degrees: every sum, product and quotient the parser forms has
+      numerator and denominator degrees at most S + P, S the sum of the
+      written orders k (each repeated term counted) and P the largest
+      written exponent m.
+    - Coefficient bits (_size_parts): every value the parser forms is a
+      number of the text, z - a, or a sum f of some of the summands in
+      lowest terms.  With den_int = prod (d_a z - n_a)^M_a the primitive
+      denominator of f and Q the product of the denominators of the c,
+      Q f den_int is an integer polynomial of height at most
+      sum_j |c_j| Q * prod_a (|n_a| + |d_a|)^M_a.  So the bits of f are at
+      most B = bits(count) + 1 + sum_j (cbits_j + k_j abits_j), and two
+      operands of at most B bits each clear the check when
+      2 B < 64 (MAX_SIZE + 1).
+    """
+    orders = sum(k for a, k, *_ in summands if a is not None)
+    top = max((k for a, k, *_ in summands if a is None), default=0)
+    bits = len(summands).bit_length() + 1 + sum(cb + k * ab for _, k, _, cb, ab in summands)
+    return (
+        orders + top <= MAX_SIZE
+        and 2 * bits < 64 * (MAX_SIZE + 1)
+        and all(k * max(1, ab // 64) <= MAX_EXPONENT for _, k, _, _, ab in summands)
+    )
+
+
+def _merged(summands: list[Summand]) -> tuple[PartialFractions, int]:
+    """The partial fractions of the summands, repeated terms added up, and
+    the work the general parser charges for them when the coefficients
+    take one word each: k^2 for each power (z - a)^k with a != 0 and
+    k > 1, and d^2 for each sum of two operands that are not constant nor
+    both polynomials, d the degree bound of _check_budget.  Its operands
+    are the summand and the sum of the summands before it, whose degrees
+    are read off the trimmed tails and polynomial part summed so far."""
     tails: dict[Fraction, list[Fraction]] = {}
-    for (a, k), c in terms.items():
+    poly: list[Fraction] = []  # coefficients of z^0, z^1, ...
+    dd = 0  # degree of the denominator of the sum so far
+    work = 0
+    for idx, (a, k, c, _, _) in enumerate(summands):
+        if a and k > 1:
+            work += k * k
+        pd = len(poly) - 1
+        if idx and c and (a is not None or k) and (dd or pd > 0) and (dd or a is not None):
+            # numerator degree of the sum so far: dd + pd, or below dd
+            tn, td = (k, 0) if a is None else (0, k)
+            d = max(dd + pd + td, dd + tn, dd + td)
+            work += d * d
+        if a is None:
+            coeffs, i = poly, k
+        else:
+            coeffs, i = tails.setdefault(a, []), k - 1
+            dd -= len(coeffs)
+        if len(coeffs) <= i:
+            coeffs.extend([_ZERO] * (i + 1 - len(coeffs)))
+        coeffs[i] += c
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
         if a is not None:
-            tail = tails.setdefault(a, [])
-            tail.extend([_ZERO] * (k - len(tail)))
-            tail[k - 1] = c
-    out = {}
-    for a, tail in tails.items():
-        while tail and not tail[-1]:
-            tail.pop()
-        if tail:
-            out[a] = tuple(tail)
-    return out, {m: c for (a, m), c in terms.items() if a is None and c}
+            dd += len(coeffs)
+    return (
+        ({a: tuple(tail) for a, tail in tails.items() if tail}, {m: c for m, c in enumerate(poly) if c}),
+        work,
+    )

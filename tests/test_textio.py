@@ -481,12 +481,12 @@ def _atom_text(rng, a, k, c) -> str:
     return f"{_coeff_text(mag)}/{base}{power}"
 
 
-def _pf_entry(rng) -> tuple[str, bool]:
+def _pf_entry(rng, points=PF_POINTS) -> tuple[str, bool]:
     """A seeded sum in partial fractions and whether it has a pole at BIG.
     Terms repeat at one point and order, and a top coefficient may cancel."""
     atoms = []
     for _ in range(rng.randint(0, 4)):
-        a = rng.choice(PF_POINTS)
+        a = rng.choice(points)
         k = rng.randint(1, 3)
         c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
         atoms.append((a, k, c))
@@ -606,3 +606,90 @@ def test_partial_fractions_read_as_the_grammar_groups(text, tails, poly):
     f, form = parse_partial_fractions(text)
     assert f == parse_ratfunc(text)
     assert form == (tails, poly)
+
+
+# ------------------------------------------------------------
+# the value of a text in partial fractions, built in closed form
+# ------------------------------------------------------------
+
+
+def test_closed_form_values_are_the_general_parsers():
+    # the general parser is the oracle; the closed form charges no more
+    # than it, and the same when every coefficient takes one word
+    points = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), BIG)
+    rng = random.Random(20261020)
+    for _ in range(400):
+        text, has_big = _pf_entry(rng, points)
+        closed, general = ParseBudget(len(text)), ParseBudget(len(text))
+        f, form = parse_partial_fractions(text, closed)
+        assert form is not None and f == parse_ratfunc(text, budget=general), text
+        if has_big:
+            assert closed.left >= general.left, text
+        else:
+            assert closed.left == general.left, text
+
+
+_HUGE = "7" * 4000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "1/(z - 1)^60 - 1/(z - 2)^60",
+            "expression too large: '-' could give a result of size 120 (at most 100)",
+        ),
+        (
+            # the merged order is 60, the written orders sum to 110
+            "1/(z - 1)^50 + 1/(z - 1)^60",
+            "expression too large: '+' could give a result of size 110 (at most 100)",
+        ),
+        (
+            "1/(z - 1)^101",
+            "power too large: exponent 101 on a base of size 1 (the product may be at most 100)",
+        ),
+        (
+            "z^101",
+            "power too large: exponent 101 on a base of size 1 (the product may be at most 100)",
+        ),
+        (
+            f"{_HUGE}/(z - 1)",
+            "expression too large: '/' could give a result of size 207 (at most 100)",
+        ),
+        (
+            f"1/(z - {_HUGE})",
+            "expression too large: '-' could give a result of size 207 (at most 100)",
+        ),
+    ],
+    ids=["two-poles", "repeated-pole", "pole-power", "power", "long-c", "long-a"],
+)
+def test_partial_fractions_keep_the_size_refusals(text, message):
+    doc = f"format: symplext/1\nE: -1\nL: 0\nbeta[1,1]: {text}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == f"line 4: bad rational function: {message}"
+
+
+def test_partial_fraction_powers_charge_as_the_general_parser():
+    # 1/(z+k)^100 charges the 10,000 units of its power step
+    fit = PARSE_WORK // 10_000
+    doc = _power_document(fit).replace(": (z+", ": 1/(z+")
+    assert parse_document(doc).beta.tails is not None
+    doc = _power_document(fit + 1).replace(": (z+", ": 1/(z+")
+    with pytest.raises(ParseError, match=f"line {5 + fit}: .*parse budget"):
+        parse_document(doc)
+
+
+def test_closed_form_charges_points_of_two_words_as_one():
+    # (z - a)^24 with a of 130 bits: the general parser charges its power
+    # (24 * 2)^2 units, the closed form 24^2, so 16 such entries pass the
+    # budget of their document only in closed form
+    a = 2**129 + 1
+    lines = ["format: symplext/1", "E: -1 -1 -1 -1", "L: 0"]
+    lines += [f"beta[{i},{j}]: 1/(z - {a + 4 * i + j})^24" for i in range(1, 5) for j in range(1, 5)]
+    text = "\n".join(lines) + "\n"
+    assert parse_document(text).beta.tails is not None
+    budget = ParseBudget(len(text))
+    with pytest.raises(ParseError, match="parse budget"):
+        for line in lines[3:]:
+            parse_ratfunc(line.split(": ")[1], budget=budget)
