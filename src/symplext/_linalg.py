@@ -26,8 +26,8 @@ _RATIONAL = {int, Fraction}
 def _int_rows(rows):
     """The rows cleared of denominators, and the one of their ring: each
     row times the lcm of its denominators, as ints when every entry is
-    rational, else as Polys with every entry read as a rational function.
-    Scaling rows keeps the pivots, the reduced form and the kernel."""
+    rational, else as the Poly numerators of cleared_row.  Scaling rows
+    keeps the pivots, the reduced form and the kernel."""
     out = []
     for row in rows:
         if not set(map(type, row)) <= _RATIONAL:
@@ -36,15 +36,18 @@ def _int_rows(rows):
         out.append([x.numerator * (d // x.denominator) for x in row])
     else:
         return out, 1
-    out = []
-    for row in rows:
-        row = [_as_ratfunc(x) for x in row]
-        d = Poly.one()
-        for x in row:
-            if x.den.degree > 0:
-                d = d * (x.den // d.gcd(x.den))
-        out.append([x.num * (d // x.den) for x in row])
-    return out, Poly.one()
+    return [cleared_row(row)[1] for row in rows], Poly.one()
+
+
+def cleared_row(row) -> tuple[Poly, list[Poly]]:
+    """(D, N) with entry j of row equal to N[j] / D, each entry read as a
+    rational function: D is the monic lcm of their denominators."""
+    row = [_as_ratfunc(x) for x in row]
+    d = Poly.one()
+    for x in row:
+        if x.den.degree > 0:
+            d = d * (x.den // d.gcd(x.den))
+    return d, [x.num * (d // x.den) for x in row]
 
 
 def _bareiss(rows, one, reduced: bool = True) -> tuple[list[int], int | Poly]:

@@ -497,10 +497,22 @@ def _suite_graphs(rng) -> int:
         # h^0(Hom(F, E)) = 0 in these frames, so beta is the lift of p - q
         _check(graph_of_defect(ext, G.q) == G, "q does not cut out the graph of beta")
         _check(splitting_type(G) == G.splitting, "splitting_type disagrees")
+        # the u-chart lattice reverses f_basis_0 by its shifted degrees,
+        # which needs distinct pivots: (degree, last row reaching it)
+        pivots = [
+            max((p.degree - f, j) for j, (p, f) in enumerate(zip(col, ext.f_frame)) if p)
+            for col in G.f_basis_0
+        ]
+        _check(
+            [d for d, _ in pivots] == list(G.f_degrees),
+            "f_degrees are not the shifted column degrees of f_basis_0",
+        )
+        _check(len({j for _, j in pivots}) == len(pivots), "f_basis_0 is not reduced")
         # the first read of both chart lattices: their builds and checks
         # run, and the u-chart lattice is checked to lie on the graph of
         # beta, so beta_from_subbundle need not check it again
         _check(regularity_check(G), "the graph's lattices are not regular")
+        _check(len(G.basis_inf) == len(ext.e_frame), "the u-chart lattice is not rank n")
         _check(
             beta_from_subbundle(G.basis_0, None, ext) == beta,
             "beta does not come back from its graph",

@@ -490,47 +490,6 @@ def _excess_ints(
     return out, den
 
 
-def _binom(n: int, r: int) -> int:
-    """C(n, r) = n (n-1) ... (n-r+1) / r! for any integer n."""
-    if n >= 0:
-        return math.comb(n, r)
-    return (-1) ** r * math.comb(r - n - 1, r)
-
-
-def _u_chart_tail(a: Fraction, coeffs: Coeffs, t: int) -> Coeffs:
-    """The tail coeffs at z = a != 0 of an entry in twist t, read on the
-    u-chart (u = 1/z) at u = b = 1/a.
-
-    There c/(z-a)^k reads c u^(t+k) (1 - a u)^(-k), that is
-    c (-b)^k u^(t+k) (u-b)^(-k); expanding u^(t+k) at b, it adds
-    c (-1)^k C(t+k, r) b^e at order k - r for r = 0 .. k-1, with
-    e = 2k + t - r (the generalized binomial when t + k < 0).  With
-    c_k = n_k / d and b = Q/P, and e between lo = t + 2 and hi = 2m + t,
-    each order is one integer sum of n_k (-1)^k C(t+k, r) Q^(e-lo)
-    P^(hi-e), times Q^lo / (d P^hi).
-    """
-    if not coeffs:
-        return ()
-    nums, d = _int_tail(coeffs)
-    P, Q = a.numerator, a.denominator  # b = 1/a = Q/P
-    lo, hi = t + 2, 2 * len(nums) + t
-    pp, qq = _powers(P, hi - lo), _powers(Q, hi - lo)
-    acc = [0] * len(nums)
-    for k, n in enumerate(nums, 1):
-        if not n:
-            continue
-        if k % 2:
-            n = -n
-        for r in range(k):
-            e = 2 * k + t - r
-            acc[k - r - 1] += n * _binom(t + k, r) * qq[e - lo] * pp[hi - e]
-    while acc and not acc[-1]:
-        acc.pop()
-    num = Q ** max(lo, 0) * P ** max(-hi, 0)
-    den = d * P ** max(hi, 0) * Q ** max(-lo, 0)
-    return tuple(Fraction(x * num, den) for x in acc)
-
-
 def reduce_class(p: PrinHom) -> CohClass:
     """Canonical representative of the class of a principal part system.
 

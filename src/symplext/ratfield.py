@@ -89,6 +89,14 @@ class PointP1:
 
     value: Fraction | None
 
+    def __post_init__(self):
+        # points key the dicts of every principal part system: hash the
+        # value once, not through Fraction.__hash__ on every lookup
+        object.__setattr__(self, "_hash", hash(self.value))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @staticmethod
     def finite(a) -> "PointP1":
         return PointP1(as_fraction(a))

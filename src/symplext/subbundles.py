@@ -38,7 +38,6 @@ from .forms import ExtensionData, RatSectionW, _StructuredExtension
 from .prinparts import (
     PrinHom,
     _lift,
-    _u_chart_tail,
     local_condition_matrix,
     prin_of,
     reduce_class,
@@ -127,8 +126,10 @@ class GraphSubbundle:
 
     graph_subbundle builds eagerly what the printed invariants need: q,
     conditions, f_basis_0 (the chart-0 lattice of F-sections that satisfy
-    the finite conditions, checked to have rank n), the degree and the
-    splitting type read off f_basis_0 (checked against the degree).
+    the finite conditions, checked to have rank n, in shift -f weak Popov
+    form with shifted column degrees f_degrees), the degree and the
+    splitting type read off that reduced basis (checked against the
+    degree).
 
     The two chart lattices are built on first read, with their checks:
     basis_0 spans the sections over the z-chart, basis_inf those over the
@@ -136,12 +137,16 @@ class GraphSubbundle:
     trivialization of W: the top n rows hold x = s(f) - e where s is the
     chart's rational splitting (s_zero on the z-chart, s_infinity on the
     other), the bottom n rows hold the F-part f; on the graph,
-    x = (s - beta)(f), and every x must come out a polynomial.  On the
-    z-chart the F-parts are f_basis_0; on the u-chart they are the module
-    basis of the u-chart conditions, which must have rank n.  A failed
-    check raises InternalLiftFailure at that first read.  The member
-    coordinates are recovered as e = s(f) - x.  Equality and repr leave
-    out f_basis_0 and the lattices, which ext and beta determine."""
+    x = (s - beta)(f).  Row i of the chart matrix of s - beta is kept as
+    (D, N), entry j being N_j / D, and x_i = (sum_j N_j f_j) // D must
+    divide exactly.  On the z-chart the F-parts are f_basis_0.  On the
+    u-chart they are column i of f_basis_0 reversed, u^(f_j + d_i)
+    b_ij(1/u), a basis of the finite conditions there by the
+    predictable-degree property, refined at u = 0 by the condition at
+    infinity; that lattice must have rank n.  A failed check raises
+    InternalLiftFailure at that first read.  The member coordinates are
+    recovered as e = s(f) - x.  Equality and repr leave out f_basis_0,
+    f_degrees and the lattices, which ext and beta determine."""
 
     ext: ExtensionData
     beta: RatHom
@@ -150,6 +155,7 @@ class GraphSubbundle:
     splitting: tuple[int, ...]
     degree: int
     f_basis_0: _Lattice = field(compare=False, repr=False)
+    f_degrees: tuple[int, ...] = field(compare=False, repr=False)
     basis_0: _Lattice = field(
         default=_OnFirstRead(lambda G: _chart_0_lattice(G)), compare=False, repr=False
     )
@@ -170,15 +176,19 @@ class GraphSubbundle:
         return self.beta.dst
 
     @cached_property
-    def _x_map_0(self) -> RatHom:
-        # s_0 - beta, which takes the F-part of a chart-0 column to its
-        # x-part; the chart-0 lattice and regularity_check share it
-        return self.ext.s_zero() - self.beta
+    def _x_rows_0(self) -> list[tuple[Poly, list[Poly]]]:
+        # the rows (D, N) of s_0 - beta, which takes the F-part of a
+        # chart-0 column to its x-part; the chart-0 lattice and
+        # regularity_check share them
+        return [la.cleared_row(row) for row in (self.ext.s_zero() - self.beta).entries]
 
     @cached_property
-    def _x_map_inf(self) -> list[list[RatFunc]]:
-        # the u-chart matrix of s_inf - beta, likewise on the u-chart
-        return _beta_inf_chart(self.ext.s_infinity() - self.beta)
+    def _x_rows_inf(self) -> list[tuple[Poly, list[Poly]]]:
+        # the rows of the u-chart matrix of s_inf - beta, likewise
+        return [
+            la.cleared_row(row)
+            for row in _beta_inf_chart(self.ext.s_infinity() - self.beta)
+        ]
 
 
 def _poly_jets(f: Poly, a: Fraction, K: int) -> list[Fraction]:
@@ -283,10 +293,15 @@ def _module_basis(n: int, conds: Sequence[JetCondition]) -> list[list[Poly]]:
     return la.poly_hnf(cols, n)
 
 
-def _as_poly(f: RatFunc, what: str) -> Poly:
-    if not f.is_polynomial:
+def _as_poly(frac: tuple[Poly, Poly], what: str) -> Poly:
+    # t / D for frac = (t, D), D monic: a remainder is a pole
+    t, D = frac
+    if D.degree == 0:
+        return t
+    x, r = divmod(t, D)
+    if not r.is_zero:
         raise InternalLiftFailure(f"{what} kept a pole; this is a bug")
-    return f.num
+    return x
 
 
 def _beta_inf_chart(beta: RatHom) -> list[list[RatFunc]]:
@@ -295,26 +310,6 @@ def _beta_inf_chart(beta: RatHom) -> list[list[RatFunc]]:
         [beta[i, j].flip(beta.twist(i, j)) for j in range(beta.ncols)]
         for i in range(beta.nrows)
     ]
-
-
-def _u_chart_conditions(q: PrinHom) -> tuple[JetCondition, ...]:
-    """Jet conditions of q on the u-chart: the infinity tails act at
-    u = 0, a finite tail at a != 0 moves to u = 1/a (a = 0 leaves the
-    chart)."""
-    parts: dict[PointP1, list[list[tuple[Fraction, ...]]]] = {}
-    n, m = q.nrows, q.ncols
-    for pt in q.support:
-        if pt.is_infinity:
-            parts[PointP1.finite(0)] = [
-                [q.entry(pt, i, j) for j in range(m)] for i in range(n)
-            ]
-        elif pt.value != 0:
-            parts[PointP1.finite(1 / pt.value)] = [
-                [_u_chart_tail(pt.value, q.entry(pt, i, j), q.twist(i, j)) for j in range(m)]
-                for i in range(n)
-            ]
-    qhat = PrinHom(q.src, q.dst, parts)
-    return _conditions_of(qhat)
 
 
 def graph_subbundle(ext: ExtensionData, beta: RatHom) -> GraphSubbundle:
@@ -367,7 +362,9 @@ def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbu
     # the rank of each condition is the local length of q there
     degree = sum(ext.f_frame) - sum(c.rank for c in conditions)
     inf = next((c for c in conditions if c.point.is_infinity), None)
-    splitting = _reduced_splitting(ext.f_frame, fbasis, inf, degree)
+    # the reduction runs once: the splitting and the u-chart lattice read it
+    cols, d = la.weak_popov(fbasis, [-f for f in ext.f_frame])
+    splitting = _reduced_splitting(ext.f_frame, cols, d, inf, degree)
     if len(splitting) != n or sum(splitting) != degree:
         raise InternalLiftFailure("splitting type disagrees with degree")
     return GraphSubbundle(
@@ -377,31 +374,45 @@ def _graph_subbundle(ext: ExtensionData, beta: RatHom, q: PrinHom) -> GraphSubbu
         conditions=conditions,
         splitting=splitting,
         degree=degree,
-        f_basis_0=tuple(tuple(col) for col in fbasis),
+        f_basis_0=tuple(tuple(col) for col in cols),
+        f_degrees=tuple(d),
     )
+
+
+def _lifted(x_rows, fcol: tuple[Poly, ...], what: str) -> tuple[Poly, ...]:
+    # the column (x, f) with x_i = (sum_j N_ij f_j) / D_i, which must be
+    # a polynomial
+    return tuple(_as_poly((la.sum_prod(N, fcol), D), what) for D, N in x_rows) + fcol
 
 
 def _chart_0_lattice(G: GraphSubbundle) -> _Lattice:
     # x = (s_0 - beta) f has no finite tails on the kernel lattice
-    out = []
-    for col in G.f_basis_0:
-        xcol = G._x_map_0.apply([RatFunc(p) for p in col])
-        out.append(tuple(_as_poly(v, "graph chart-0 lift") for v in xcol) + col)
-    return tuple(out)
+    return tuple(_lifted(G._x_rows_0, col, "graph chart-0 lift") for col in G.f_basis_0)
 
 
 def _chart_inf_lattice(G: GraphSubbundle) -> _Lattice:
-    ubasis = _module_basis(G.rank, _u_chart_conditions(G.q))
+    # column i of f_basis_0 reversed is u^d_i times b_i on the u-chart: a
+    # basis of the finite conditions there; the condition at infinity
+    # then acts at u = 0
+    try:
+        ubasis = [
+            [b.reverse(f + d) for b, f in zip(col, G.f_frame)]
+            for col, d in zip(G.f_basis_0, G.f_degrees)
+        ]
+    except ValueError:  # a degree past the reversal length
+        raise InternalLiftFailure("chart-0 basis is not reduced; this is a bug") from None
+    at_0 = [
+        JetCondition(PointP1.finite(0), c.order, c.rows)
+        for c in G.conditions
+        if c.point.is_infinity
+    ]
+    if at_0:
+        ubasis = _refine_by_conditions(ubasis, at_0, G.rank)
     if len(ubasis) != G.rank:
         raise InternalLiftFailure("chart-infinity kernel lattice is not rank n")
-    out = []
-    for col in ubasis:
-        fcol = [RatFunc(p) for p in col]
-        xcol = [la.sum_prod(row, fcol) for row in G._x_map_inf]
-        out.append(
-            tuple(_as_poly(v, "graph chart-infinity lift") for v in xcol) + tuple(col)
-        )
-    return tuple(out)
+    return tuple(
+        _lifted(G._x_rows_inf, tuple(col), "graph chart-infinity lift") for col in ubasis
+    )
 
 
 # ============================================================
@@ -411,17 +422,18 @@ def _chart_inf_lattice(G: GraphSubbundle) -> _Lattice:
 
 def _reduced_splitting(
     f_frame: Sequence[int],
-    fbasis: Sequence[Sequence[Poly]],
+    cols: Sequence[Sequence[Poly]],
+    d: Sequence[int],
     inf: JetCondition | None,
     degree: int,
 ) -> tuple[int, ...]:
-    """Splitting type of the graph from its chart-0 lattice basis fbasis
-    (the finite conditions) and its condition at infinity, if any.
+    """Splitting type of the graph from its chart-0 lattice basis (the
+    finite conditions) and its condition at infinity, if any.
 
-    The shift -f weak Popov form b_1 .. b_n of fbasis has shifted column
-    degrees d_i, and by the predictable-degree property the sections of
-    G'(m), G' the bundle of the finite conditions alone, are the
-    sum c_i b_i with deg c_i <= m - d_i: G' splits as the O(-d_i).  The
+    cols, the basis b_1 .. b_n in shift -f weak Popov form, has shifted
+    column degrees d_i, and by the predictable-degree property the
+    sections of G'(m), G' the bundle of the finite conditions alone, are
+    the sum c_i b_i with deg c_i <= m - d_i: G' splits as the O(-d_i).  The
     condition at infinity (rows R on the jets (j, t), t < K, where jet
     (j, t) of a section of G(m) is its coefficient of z^(f_j + m - t)) acts
     on the u-jets (i, s), s < K, of the c_i, jet (i, s) being the
@@ -433,7 +445,6 @@ def _reduced_splitting(
     range _invert_profile scans, without any further elimination.
     """
     n = len(f_frame)
-    cols, d = la.weak_popov(fbasis, [-f for f in f_frame])
     keys: list[int] = []
     if inf is not None:
         K = inf.order
@@ -586,35 +597,30 @@ def regularity_check(G: GraphSubbundle) -> bool:
     Verifies first that the lattice really lies on the graph inside W
     (stored x-parts equal (s - beta) applied to the F-parts on each
     chart), then that beta applied to every column is pole-free on that
-    column's chart.  Returns False on any violation; a False on a
+    column's chart.  Both are polynomial identities on the rows (D, N) of
+    the chart matrices, entry j being N_j / D, with no rational-function
+    arithmetic: D x_i == sum_j N_j f_j for s - beta, and D dividing
+    sum_j N_j f_j for beta.  The u-chart lattice is not built when the
+    chart-0 one fails.  Returns False on any violation; a False on a
     faithfully built lattice means the tails of p and beta cancel at a
     shared point, where regularity genuinely fails.
     """
-    n = G.rank
-    beta = G.beta
-    for col in G.basis_0:
-        fcol = [RatFunc(p) for p in col[n:]]
-        xcol = G._x_map_0.apply(fcol)
-        for i in range(n):
-            if not xcol[i].is_polynomial:
+    return _on_graph(G.basis_0, G._x_rows_0, G.beta.entries, G.rank) and _on_graph(
+        G.basis_inf, G._x_rows_inf, _beta_inf_chart(G.beta), G.rank
+    )
+
+
+def _on_graph(lattice: _Lattice, x_rows, beta_chart, n: int) -> bool:
+    # the columns (x, f) of one chart lie on the graph and beta f is
+    # a polynomial vector
+    beta_rows = [la.cleared_row(row) for row in beta_chart]
+    for col in lattice:
+        x, f = col[:n], col[n:]
+        for xi, (D, N) in zip(x, x_rows):
+            if D * xi != la.sum_prod(N, f):
                 return False
-            if xcol[i] != RatFunc(col[i]):
-                return False
-        ecol = beta.apply(fcol)
-        if any(not v.is_polynomial for v in ecol):
-            return False
-    ahat = G._x_map_inf
-    bhat = _beta_inf_chart(beta)
-    for col in G.basis_inf:
-        fcol = [RatFunc(p) for p in col[n:]]
-        for i in range(n):
-            xv = la.sum_prod(ahat[i], fcol)
-            if not xv.is_polynomial:
-                return False
-            if xv != RatFunc(col[i]):
-                return False
-            ev = la.sum_prod(bhat[i], fcol)
-            if not ev.is_polynomial:
+        for B, M in beta_rows:
+            if B.degree > 0 and not (la.sum_prod(M, f) % B).is_zero:
                 return False
     return True
 

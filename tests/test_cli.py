@@ -15,7 +15,7 @@ import symplext.cli as cli
 import symplext.subbundles as sb
 from symplext.cli import main
 from symplext.errors import InternalLiftFailure
-from symplext.ratfield import PointP1
+from symplext.ratfield import INFINITY, PointP1
 from symplext.textio import parse_document
 
 P0 = PointP1.finite(0)
@@ -570,9 +570,15 @@ def _lattice_runs():
 def test_commands_build_only_the_lattices_they_read(capsys, monkeypatch, stem):
     # a graph builds its chart-0 F-lattice; its chart lattices wait for a
     # read.  isotropy and search read neither; subbundle reads both through
-    # regularity_check, the u-chart one costing one more module basis
+    # regularity_check, the u-chart one costing one more module basis when
+    # a condition at infinity refines it
     argv = _lattice_runs()[stem]
-    calls = {"_graph_subbundle": 0, "_module_basis": 0, "_u_chart_conditions": 0}
+    calls = {
+        "_graph_subbundle": 0,
+        "_module_basis": 0,
+        "_chart_inf_lattice": 0,
+        "_refine_by_conditions": 0,
+    }
 
     def counting(name):
         real = getattr(sb, name)
@@ -595,8 +601,11 @@ def test_commands_build_only_the_lattices_they_read(capsys, monkeypatch, stem):
         assert graphs == len(doc.results)
     else:
         assert graphs == 1
-    uchart = calls["_u_chart_conditions"]
-    assert calls["_module_basis"] == graphs + uchart
+    uchart = calls["_chart_inf_lattice"]
+    refined = calls["_refine_by_conditions"]
+    assert calls["_module_basis"] == graphs + refined
+    at_infinity = argv[0] == "subbundle" and INFINITY in doc.q.support
+    assert refined == (uchart if at_infinity else 0)
     if argv[0] != "subbundle":
         assert uchart == 0
     elif doc.regular:

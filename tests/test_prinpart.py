@@ -14,7 +14,6 @@ from symplext.forms import ExtensionData, check_orthogonal, check_symplectic
 from symplext.prinparts import (
     _excess_ints,
     _finite_tails,
-    _u_chart_tail,
     CohClass,
     PrinHom,
     apply_prin,
@@ -39,6 +38,7 @@ from symplext.ratfield import (
     polar_coeffs_as_ratfunc,
     zpow,
 )
+from u_chart_oracle import u_chart_tail
 
 P0 = PointP1.finite(0)
 P1 = PointP1.finite(1)
@@ -357,7 +357,8 @@ def test_closed_form_lift_inverts_prin_of_on_coboundaries():
 
 def test_closed_form_u_chart_tails_match_ratfunc_route():
     # the tail at z = a read at u = 1/a in twist t, against assembling it
-    # as a rational function, flipping it into the twist and translating
+    # as a rational function, flipping it into the twist and translating;
+    # the closed form is the u-chart lattice oracle of test_subbundles
     rng = random.Random(47)
     for _ in range(600):
         a = sampling.nonzero_fraction(rng, span=7, den=4)
@@ -368,7 +369,7 @@ def test_closed_form_u_chart_tails_match_ratfunc_route():
             if any(coeffs)
             else ()
         )
-        assert _u_chart_tail(a, coeffs, t) == expected, (a, coeffs, t)
+        assert u_chart_tail(a, coeffs, t) == expected, (a, coeffs, t)
 
 
 # ------------------------------------------------------------
@@ -531,7 +532,7 @@ def test_u_chart_tails_at_points_of_large_height():
             coeffs = sampling.tail(rng, max_order=4)
             t = rng.randint(-10, 5)
             expected = polar_coeffs_as_ratfunc(a, coeffs).flip(t).translate(1 / a).polar0()
-            assert _u_chart_tail(a, coeffs, t) == expected, (a, coeffs, t)
+            assert u_chart_tail(a, coeffs, t) == expected, (a, coeffs, t)
 
 
 def test_has_prin_rejects_extra_poles_and_wrong_tails():

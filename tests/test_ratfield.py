@@ -412,6 +412,26 @@ def test_point_infinity_spellings():
         assert parse_point(s).is_infinity
 
 
+def test_point_hash_is_kept_and_agrees_with_equality():
+    # the hash is taken once, at construction; equal points hash equal
+    # however their value was written
+    for a in (0, 3, -7, 10**16):
+        pts = (PointP1(a), PointP1(Fraction(a)), PointP1.finite(a), PointP1.finite(str(a)))
+        assert len(set(pts)) == 1 and len({hash(p) for p in pts}) == 1
+        assert {pts[0]: a}[pts[2]] == a
+    half = PointP1.finite(Fraction(1, 2))
+    assert hash(half) == hash(PointP1.finite("1/2")) == hash(Fraction(1, 2))
+    assert hash(PointP1(None)) == hash(INFINITY)
+    assert hash(INFINITY) not in {hash(PointP1.finite(a)) for a in range(-5, 6)}
+    assert INFINITY != PointP1.finite(0) and PointP1.finite(1) != PointP1.finite(2)
+    assert sorted([INFINITY, half, PointP1.finite(-1)], key=PointP1.sort_key) == [
+        PointP1.finite(-1),
+        half,
+        INFINITY,
+    ]
+    assert repr(half) == "PointP1(1/2)"
+
+
 def test_parse_exponent_limit():
     assert parse_ratfunc(f"z^{MAX_EXPONENT}") == RatFunc(Poly.monomial(MAX_EXPONENT))
     for bad in (

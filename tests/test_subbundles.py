@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import symplext._linalg as la
 import symplext.subbundles as sb
 from symplext import sampling
 from symplext.bundles import RatHom, dual_frame, h0_hom, transpose_hom
@@ -17,6 +18,7 @@ from symplext.errors import (
     FrameMismatch,
     HypothesisUnmet,
     HypothesisUnmetWarning,
+    InternalLiftFailure,
     VerticalIntersection,
 )
 from symplext.forms import ExtensionData, check_orthogonal, check_symplectic
@@ -47,6 +49,7 @@ from symplext.subbundles import (
     splitting_type,
     vertical_kernel,
 )
+from u_chart_oracle import u_chart_f_lattice
 
 P0 = PointP1.finite(0)
 P1 = PointP1.finite(1)
@@ -270,6 +273,85 @@ def test_lattices_built_on_first_read_random(monkeypatch):
         assert len(reads) == 4  # replace read H's lattices, and kept G's
         reads.clear()
     assert with_inf >= 100
+
+
+_ORACLE_FRAMES = [
+    (-1,),
+    (0,),
+    (-1, -1),
+    (-1, -2),
+    (0, -3),
+    (1, -1, -3),
+    (-1, -1, -2),
+    (-1, -1, -1, -1),
+    (0, -1, -2, -2),
+]
+_HUGE = PointP1.finite(10**16)
+
+
+def test_u_chart_lattice_matches_transported_conditions():
+    # the reversed reduced basis refined at u = 0 spans the lattice that
+    # the tails of q, each moved to its point on the u-chart, cut out
+    rng = random.Random(2411)
+    seen = {"rank 4": 0, "infinity": 0, "huge": 0, "polynomial part": 0}
+    for case in range(200):
+        E = _ORACLE_FRAMES[case % len(_ORACLE_FRAMES)]
+        n = len(E)
+        ell = rng.randint(-1, 1)
+        F = dual_frame(E, ell)
+        pts = sampling.points(rng, 2 if n < 4 else 1, allow_infinity=True)
+        if case % 8 == 0:
+            pts.append(_HUGE)
+        order = 2 if n < 4 else 1
+        ext = sampling.extension(rng, E, ell, pts=pts, max_order=order)
+        poly_deg = rng.randint(-1, 2)
+        # a pole of beta at the huge point would send prin_of into a root
+        # search; the tails of p put it into q
+        poles = [pt for pt in pts if pt != _HUGE]
+        beta = sampling.rathom(rng, F, E, pts=poles, max_order=order, poly_deg=poly_deg)
+        G = graph_subbundle(ext, beta)
+        ucols = [col[n:] for col in G.basis_inf]
+        assert len(ucols) == n
+        assert la.poly_hnf(ucols, n) == u_chart_f_lattice(G.q, n), case
+        seen["rank 4"] += n == 4
+        seen["infinity"] += INFINITY in G.q.support
+        seen["huge"] += _HUGE in G.q.support
+        seen["polynomial part"] += poly_deg >= 0
+    assert min(seen.values()) >= 20, seen
+
+
+def _unread_copy(G, **changes):
+    # G with some fields changed and its u-chart lattice left unbuilt:
+    # dataclasses.replace would read it to hand it on
+    kept = {
+        f.name: getattr(G, f.name)
+        for f in dataclasses.fields(G)
+        if f.name not in ("basis_inf", *changes)
+    }
+    return sb.GraphSubbundle(**kept, **changes)
+
+
+def test_regularity_failing_on_chart_0_builds_no_u_chart_lattice(monkeypatch):
+    built = []
+    real = sb._chart_inf_lattice
+    monkeypatch.setattr(sb, "_chart_inf_lattice", lambda G: built.append(G) or real(G))
+    ext = make_ext((-1,))
+    beta = RatHom((1,), (-1,), [[RatFunc(Poly([2]), Poly([-3, 1]))]])
+    G = graph_subbundle(ext, beta)
+    bad = _unread_copy(G, basis_0=((Poly.zero(), Poly.one()),))
+    assert not regularity_check(bad)
+    assert built == []
+    assert regularity_check(G)
+    assert built == [G]
+
+
+def test_u_chart_reversal_below_a_degree_is_an_internal_failure():
+    rng = random.Random(2417)
+    ext = sampling.extension(rng, (-1, -2), 0, max_order=2)
+    G = graph_subbundle(ext, sampling.rathom(rng, (1, 2), (-1, -2), max_order=2))
+    lowered = tuple(d - 1 for d in G.f_degrees)
+    with pytest.raises(InternalLiftFailure, match="not reduced"):
+        _unread_copy(G, f_degrees=lowered).basis_inf
 
 
 def test_vertical_lattice_rejected():
