@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, UnsupportedPoleField, ZeroDenominator, ZeroFunction
@@ -258,12 +259,7 @@ class Poly:
             return _make(b, content)
         if len(b) == 1:
             return _make(a, content)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _make(tuple(out), content)
+        return _make(tuple(_int_mul(a, b)), content)
 
     def scale(self, c) -> "Poly":
         if not isinstance(c, (int, Fraction)):
@@ -417,6 +413,16 @@ def _primitive_parts(ints: list[int], content: Fraction) -> tuple[tuple[int, ...
 
 def _primitive(ints: list[int], content: Fraction) -> Poly:
     return _make(*_primitive_parts(ints, content))
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two nonzero integer polynomials, dense ascending."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 _ZERO_POLY = _make((), Fraction(0))
@@ -877,20 +883,38 @@ class PolarPart:
 
 def tails_num_den(tails: Iterable[tuple[Fraction, Sequence[Fraction]]]) -> tuple[Poly, Poly]:
     """The sum of polar tails (a, (c_1, ..., c_m)), c_k multiplying
-    (z - a)^-k, as num / den in lowest terms, with no gcd taken.
+    (z - a)^-k, as num / den in lowest terms, with no gcd taken; den is
+    not monic.
 
-    den = prod (z - a)^m_a and num = sum_a T_a prod_{b != a} (z - b)^m_b,
-    where T_a = sum_k c_k (z - a)^(m_a - k) is the tail at a over its own
-    pole.  For trimmed tails at distinct points, at each root a of den
-    num(a) = c_{m_a} prod_{b != a} (a - b)^m_b != 0: the pair is coprime,
-    and so is num + den * P for any polynomial P.
+    With a = u/v, P = v z - u and c_k = n_k / d over one denominator, the
+    tail at a is A / (d P^m), where A = sum_k n_k v^k P^(m - k) is built by
+    Horner's rule in P on integer lists.  den = L prod_a P_a^m_a, L the lcm
+    of the d, and num = sum_a A_a (L / d) prod_{b != a} P_b^m_b, made
+    primitive once.  For trimmed tails at distinct points, at each root a
+    of den num(a) is a nonzero multiple of c_m: the pair is coprime, and
+    so is num + den * G for any polynomial G.
     """
-    num, den = _ZERO_POLY, _ONE_POLY
+    num: list[int] = []
+    den, L = [1], 1
     for a, tail in tails:
-        pole = Poly((-a, 1)) ** len(tail)
-        num = num * pole + Poly(tail[::-1]).shift(-a) * den
-        den = den * pole
-    return num, den
+        v, P = a.denominator, (-a.numerator, a.denominator)
+        d = lcm(*[c.denominator for c in tail])
+        A: list[int] = []
+        pm, vk = [1], 1  # P^k and v^k
+        for c in tail:
+            vk *= v
+            A = _int_mul(A, P) if A else [0]
+            A[0] += c.numerator * (d // c.denominator) * vk
+            pm = _int_mul(pm, P)
+        scale = lcm(L, d)
+        t = [x * (scale // d) for x in _int_mul(A, den)]
+        if num:
+            r = scale // L
+            for i, x in enumerate(_int_mul(num, pm)):
+                t[i] += r * x
+        num, den, L = t, _int_mul(den, pm), scale
+    # P is primitive with v > 0, and so are products of such (Gauss)
+    return _primitive(num, _F1), _make(tuple(den), Fraction(L))
 
 
 def polar_coeffs_as_ratfunc(a: Fraction, coeffs: Sequence[Fraction]) -> RatFunc:
@@ -1021,17 +1045,24 @@ def ratfunc_text(f: RatFunc, var: str = "z") -> str:
 
 # Largest exponent the expression grammar accepts, far above the cubes
 # that problem files use.  It also bounds the exponent times the size of
-# the base (see _power_size), so nested powers such as ((z^99)^99)^99
+# the base (see _gate_power), so nested powers such as ((z^99)^99)^99
 # cannot ask for a huge polynomial or a huge coefficient either.
 MAX_EXPONENT = 100
 
-# Largest size (degree, or 64-bit words of a coefficient; see _power_size)
-# that a sum, difference, product or quotient may reach.  Degrees and
+# Largest size (degree, or 64-bit words of a coefficient; see _gate) that
+# a sum, difference, product or quotient may reach.  Degrees and
 # coefficient lengths add under these operations, so without a bound a
 # short text asks for huge gcds: six terms (z+k)^99/(z+k+1)^99 took 28 s
 # and a product of 39 factors (z+k)^99 35 s.  With it, one operation on
 # the largest allowed operands takes a fraction of a second.
 MAX_SIZE = 100
+
+# Deepest nesting of parentheses, and longest run of signs before one
+# operand, that the expression grammar accepts.  The parser and the
+# evaluator recurse once per pair of parentheses (chains of operators and
+# runs of signs are loops), so this keeps both far inside the
+# interpreter's recursion limit.
+MAX_DEPTH = 100
 
 # Work that the expressions of one document, or of one expression parsed
 # on its own, may do in products and gcds (see ParseBudget): PARSE_WORK
@@ -1050,13 +1081,12 @@ PARSE_WORK_PER_CHAR = 5
 
 class ParseBudget:
     """What is left of the work that the expressions of a text of the
-    given length may do.  An operation that multiplies or takes the gcd of
-    two non-constant polynomials charges the square of the bound on its
-    size (see _work); sums of polynomials, operations with a constant
-    operand and powers of a single term are linear and charge nothing.
-    A text in partial fractions whose value is built in closed form
-    charges those steps up front, with every coefficient counted as one
-    word (see _merged).  parse_document hands one budget to all of its
+    given length may do.  Every operation is charged from bounds read off
+    the parse tree before any arithmetic runs (see _gate): one that
+    multiplies or takes the gcd of two non-constant polynomials charges
+    the square of the bound on its size; sums of polynomials, operations
+    with a constant operand and powers of a single term are linear and
+    charge nothing.  parse_document hands one budget to all of its
     entries, and parsing raises ParseError once the charges pass the
     budget."""
 
@@ -1102,121 +1132,26 @@ def _tokenize(text: str, var: str) -> list:
     return toks
 
 
-def _size_parts(f: RatFunc) -> tuple[int, int, int]:
-    """(deg num, deg den, coefficient bits) of f.  The bits bound both the
-    numerators and the denominators of the coefficients; they are read off
-    the contents and the integer parts, so no coefficient is built."""
-
-    def bits(p: Poly) -> int:
-        if not p._ints:
-            return 0
-        c = p._content
-        top = max(max(p._ints), -min(p._ints)).bit_length()
-        return max(c.numerator.bit_length() + top, c.denominator.bit_length())
-
-    return f.num.degree, f.den.degree, max(bits(f.num), bits(f.den))
+# Bounds on the value of an expression: (dn, dd, n1, d1, term) says that
+# the value is N/D for some N, D in Z[z] with no common factor of positive
+# degree, deg N <= dn (dn = -1: N = 0), deg D <= dd, ||N||_1 <= n1 and
+# ||D||_1 <= d1 (the sums of the absolute values of the coefficients), and
+# if term, that N and D have one term each.  dd = 0 makes D an integer.
+Bounds = tuple[int, int, int, int, bool]
 
 
-def _power_size(f: RatFunc) -> int:
-    """Size of f as the base of a power, at least 1: its degree, or the
-    64-bit words of its longest coefficient if that is larger.  f^e has
-    about e times this size."""
-    dn, dd, bits = _size_parts(f)
-    return max(1, dn, dd, bits // 64)
-
-
-def _check_budget(a: RatFunc, op: str, b: RatFunc) -> int:
-    """A bound on the size of a op b (in the measure of _power_size),
-    computed before the operation: the degrees of numerator and
-    denominator add as the operation dictates, and so do the coefficient
-    bits.  ParseError when the bound exceeds MAX_SIZE."""
-    (an, ad, ab), (bn, bd, bb) = _size_parts(a), _size_parts(b)
-    if op == "*":
-        deg = max(an + bn, ad + bd)
-    elif op == "/":
-        deg = max(an + bd, ad + bn)
-    else:  # a sum or difference over the common denominator
-        deg = max(an + bd, ad + bn, ad + bd)
-    size = max(deg, (ab + bb) // 64)
-    if size > MAX_SIZE:
-        raise ParseError(
-            f"expression too large: '{op}' could give a result of size {size} "
-            f"(at most {MAX_SIZE})"
-        )
-    return size
-
-
-def _is_constant(f: RatFunc) -> bool:
-    return f.num.degree <= 0 and f.is_polynomial
-
-
-def _is_term(p: Poly) -> bool:
-    # at most one nonzero coefficient: its powers cost linear time
-    return sum(1 for x in p._ints if x) <= 1
-
-
-def _work(a: RatFunc, op: str, b: RatFunc, size: int) -> int:
-    """The charge of a op b, whose result has at most the given size:
-    size^2 if the operation multiplies or takes the gcd of two
-    non-constant polynomials, else 0."""
-    if _is_constant(a) or _is_constant(b):
-        return 0
-    if op in "+-" and a.is_polynomial and b.is_polynomial:
-        return 0
-    return size * size
-
-
-class _PolySum:
-    """A run of polynomial summands added in one pass: integer
-    coefficients over one common denominator, made primitive once, by
-    ratfunc.  It keeps upper bounds on the degree and the coefficient
-    bits of the sum so far, so that the parser can tell, without building
-    that sum, when _check_budget cannot refuse the next summand."""
-
-    __slots__ = ("ints", "den", "top")
-
-    def __init__(self, p: Poly):
-        self.ints: list[int] = []
-        self.den = 1
-        self.top = 0  # at least the largest |ints[i]|
-        self.add("+", p)
-
-    def add(self, op: str, p: Poly) -> None:
-        c = p._content
-        den = lcm(self.den, c.denominator)
-        if den != self.den:
-            r = den // self.den
-            self.ints = [r * x for x in self.ints]
-            self.top *= r
-            self.den = den
-        k = c.numerator * (den // c.denominator)
-        if op == "-":
-            k = -k
-        ints = self.ints
-        if len(ints) < len(p._ints):
-            ints.extend([0] * (len(p._ints) - len(ints)))
-        for i, x in enumerate(p._ints):
-            if x:
-                ints[i] += k * x
-        if p._ints:
-            self.top += abs(k) * max(max(p._ints), -min(p._ints))
-
-    def fits(self, t: RatFunc) -> bool:
-        """True when _check_budget surely passes on this sum plus or minus
-        the polynomial t.  The sum's degree is at most len(ints) - 1, and
-        its coefficient bits (see _size_parts) at most those of top plus
-        one, or of den."""
-        tn, _, tb = _size_parts(t)
-        bits = max(self.top.bit_length() + 1, self.den.bit_length(), 2)
-        return max(len(self.ints) - 1, tn) <= MAX_SIZE and (bits + tb) // 64 <= MAX_SIZE
-
-    def ratfunc(self) -> RatFunc:
-        return RatFunc(_primitive(self.ints, Fraction(1, self.den)))
+def _bits(b: Bounds) -> int:
+    """A bound on the coefficient bits of the value: for its numerator and
+    denominator, each a content c times a primitive integer polynomial P,
+    the bits of c's numerator plus those of the largest |P_i|, and those
+    of c's denominator.  The numerator is N / lc(D), within n1 and a
+    denominator dividing lc(D); the denominator is 1 if dd = 0 (2 bits),
+    else D / lc(D), within d1 and one bit for the content 1 / lc."""
+    dn, dd, n1, d1, _ = b
+    return max(n1.bit_length() + 1, d1.bit_length() + (dd > 0), 2)
 
 
 def _charge(budget: ParseBudget, work: int) -> None:
-    if not work:
-        return
     budget.left -= work
     if budget.left < 0:
         raise ParseError(
@@ -1226,103 +1161,223 @@ def _charge(budget: ParseBudget, work: int) -> None:
         )
 
 
-class _ExprParser:
+def _gate(a: Bounds, op: str, b: Bounds, budget: ParseBudget) -> Bounds:
+    """The bounds of a op b, read off those of a and b before it runs.
+    Its size is max(degree, (bits a + bits b) // 64): past MAX_SIZE it is
+    refused, and else it charges size^2, unless an operand is constant or
+    it adds two polynomials.
+
+    With N/D the pairs of the bounds, a * b is Na Nb / Da Db, a / b is
+    Na Db / Da Nb, and a + b is (Na Db + Nb Da) / Da Db, or over the lcm
+    when Da and Db are integers; the 1-norm is submultiplicative.  The
+    operands have no common factor, so one of positive degree can cancel
+    only between a numerator and the other's denominator in a product,
+    between the numerators or the denominators in a quotient, and in a sum
+    only when both denominators have positive degree.  Where it can, the
+    pair is divided by its gcd, and by Mignotte's bound (Math. Comp. 28
+    (1974)) a factor h of f in Z[z] has ||h||_1 <= 2^deg h ||f||_2: the
+    norms take 2^dn and 2^dd."""
+    adn, add, an1, ad1, aterm = a
+    bdn, bdd, bn1, bd1, bterm = b
+    term = aterm and bterm
+    if op == "*":
+        dn = adn + bdn if adn >= 0 and bdn >= 0 else -1
+        dd, n1, d1 = add + bdd, an1 * bn1, ad1 * bd1
+        cancels = (adn > 0 and bdd > 0) or (bdn > 0 and add > 0)
+    elif op == "/":
+        if bdn < 0:
+            raise ParseError("division by zero in expression")
+        dn = adn + bdd if adn >= 0 else -1
+        dd, n1, d1 = add + bdn, an1 * bd1, ad1 * bn1
+        cancels = (adn > 0 and bdn > 0) or (add > 0 and bdd > 0)
+    else:
+        dn, dd, term = max(adn + bdd, bdn + add), add + bdd, False
+        if dd:
+            n1, d1 = an1 * bd1 + bn1 * ad1, ad1 * bd1
+        else:
+            d1 = lcm(ad1, bd1)
+            n1 = an1 * (d1 // ad1) + bn1 * (d1 // bd1)
+        cancels = add > 0 and bdd > 0
+    size = max(dn, dd, (_bits(a) + _bits(b)) // 64)
+    if size > MAX_SIZE:
+        raise ParseError(
+            f"expression too large: '{op}' could give a result of size {size} "
+            f"(at most {MAX_SIZE})"
+        )
+    if (adn > 0 or add) and (bdn > 0 or bdd) and (dd or op in "*/"):
+        _charge(budget, size * size)
+    if cancels:
+        n1, d1 = n1 << dn, d1 << dd
+    return dn, dd, n1, d1, term
+
+
+def _gate_power(b: Bounds, e: int, budget: ParseBudget) -> Bounds:
+    """The bounds of f^e for f within b.  The size of the base is at
+    least 1: its degree, or the 64-bit words of its coefficients if that
+    is larger.  e times that size may be at most MAX_EXPONENT, and unless
+    the base is a single term the power charges (e * size)^2."""
+    dn, dd, n1, d1, term = b
+    size = max(1, dn, dd, _bits(b) // 64)
+    if e * size > MAX_EXPONENT:
+        raise ParseError(
+            f"power too large: exponent {e} on a base of size {size} "
+            f"(the product may be at most {MAX_EXPONENT})"
+        )
+    if e > 1 and not term:
+        _charge(budget, (e * size) ** 2)
+    return -1 if dn < 0 < e else dn * e, dd * e, n1**e, d1**e, term
+
+
+# A parse tree node is a tuple whose second field is its Bounds:
+# ("n", b, c) the integer c, ("z", b) the variable, ("^", b, base, e),
+# ("*", b, first, [(op, factor), ...]) with op "*" or "/", and
+# ("+", b, [(sign, summand), ...]) with sign 1 or -1.
+_Z_NODE = ("z", (1, 0, 1, 1, True))
+
+
+class _Parser:
+    """Recursive descent that recurses only into parentheses: expr is a
+    chain of products joined by + and -, product a chain of operands
+    joined by * and /, and operand a run of signs, then a number, the
+    variable or a parenthesized expr, then an optional ^e.  The signs of
+    a product's operands are moved onto the product.  Each node is built
+    with its bounds, so every operation is refused or charged (see _gate)
+    while the tree is read, before any arithmetic runs."""
+
     def __init__(self, toks: list, budget: ParseBudget):
-        self.toks = toks
-        self.pos = 0
+        self.toks = toks + [None]  # None marks the end
+        self.pos = self.depth = 0
         self.budget = budget
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def expr(self) -> tuple:
+        sign, node = self.product()
+        items = [(sign, node)]
+        b = node[1]
+        while (op := self.toks[self.pos]) in ("+", "-"):
+            self.pos += 1
+            s, t = self.product()
+            b = _gate(b, op, t[1], self.budget)
+            items.append((-s if op == "-" else s, t))
+        if len(items) == 1 and sign > 0:
+            return node
+        return ("+", b, items)
 
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
+    def product(self) -> tuple[int, tuple]:
+        sign, node = self.operand()
+        items = []
+        b = node[1]
+        while (op := self.toks[self.pos]) in ("*", "/"):
+            self.pos += 1
+            s, t = self.operand()
+            b = _gate(b, op, t[1], self.budget)
+            items.append((op, t))
+            sign *= s
+        return sign, ("*", b, node, items) if items else node
 
-    def expr(self) -> RatFunc:
-        acc = self.term()
-        run = None  # the sum so far, while it and its summands are polynomials
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.term()
-            if t.is_polynomial and (run is not None or acc.is_polynomial):
-                # a sum of polynomials charges nothing, and _check_budget
-                # runs on the built sum only when the bounds cannot clear it
-                if run is None:
-                    run = _PolySum(acc.num)
-                if not run.fits(t):
-                    _check_budget(run.ratfunc(), op, t)
-                run.add(op, t.num)
-                continue
-            if run is not None:
-                acc, run = run.ratfunc(), None
-            _charge(self.budget, _work(acc, op, t, _check_budget(acc, op, t)))
-            acc = acc + t if op == "+" else acc - t
-        return acc if run is None else run.ratfunc()
-
-    def term(self) -> RatFunc:
-        acc = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            t = self.unary()
-            _charge(self.budget, _work(acc, op, t, _check_budget(acc, op, t)))
-            acc = acc * t if op == "*" else acc / t
-        return acc
-
-    def unary(self) -> RatFunc:
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> RatFunc:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            e = self.take()
-            if not isinstance(e, int):
-                raise ParseError("exponent must be a nonnegative integer")
-            size = _power_size(base)
-            if e * size > MAX_EXPONENT:
-                raise ParseError(
-                    f"power too large: exponent {e} on a base of size {size} "
-                    f"(the product may be at most {MAX_EXPONENT})"
-                )
-            if e > 1 and not (_is_term(base.num) and _is_term(base.den)):
-                _charge(self.budget, (e * size) ** 2)
-            return base ** e
-        return base
-
-    def atom(self) -> RatFunc:
-        t = self.take()
-        if isinstance(t, int):
-            return RatFunc.constant(t)
-        if t == "VAR":
-            return RatFunc.z()
-        if t == "(":
-            inner = self.expr()
-            if self.take() != ")":
+    def operand(self) -> tuple[int, tuple]:
+        toks, start, sign = self.toks, self.pos, 1
+        pos = start
+        while (t := toks[pos]) in ("+", "-"):
+            sign = -sign if t == "-" else sign
+            pos += 1
+        self.pos = pos + 1
+        if pos - start > MAX_DEPTH or (t == "(" and self.depth == MAX_DEPTH):
+            raise ParseError(
+                f"expression nested too deeply: more than {MAX_DEPTH} levels "
+                "of parentheses or signs"
+            )
+        if t.__class__ is int:
+            node = ("n", (0 if t else -1, 0, t, 1, True), t)
+        elif t == "VAR":
+            node = _Z_NODE
+        elif t == "(":
+            self.depth += 1
+            node = self.expr()
+            self.depth -= 1
+            if toks[self.pos] != ")":
                 raise ParseError("unbalanced parentheses")
-            return inner
-        raise ParseError(f"unexpected token {t!r}")
+            self.pos += 1
+        else:
+            raise ParseError(f"unexpected token {t!r}")
+        if toks[self.pos] == "^":
+            e = toks[self.pos + 1]
+            if e.__class__ is not int:
+                raise ParseError("exponent must be a nonnegative integer")
+            self.pos += 2
+            node = ("^", _gate_power(node[1], e, self.budget), node, e)
+        return sign, node
 
 
-def _evaluate(toks: list, text: str, budget: ParseBudget) -> RatFunc:
-    """The value of the tokens of an expression, by the general parser."""
+def _parse(toks: list, text: str, budget: ParseBudget) -> tuple:
+    """The parse tree of the tokens of an expression, every operation in
+    it cleared and charged by the gate."""
     if not toks:
         raise ParseError("empty expression")
-    p = _ExprParser(toks, budget)
-    try:
-        out = p.expr()
-    except ZeroDenominator:
-        raise ParseError("division by zero in expression") from None
+    p = _Parser(toks, budget)
+    node = p.expr()
     if p.pos != len(toks):
         raise ParseError(f"trailing tokens in expression: {text!r}")
-    return out
+    return node
+
+
+def _value(node: tuple) -> RatFunc:
+    """The value of a parse tree, with no checks: the gate has bounded
+    every step.  The polynomial summands of a sum are added in one pass,
+    as integers over a common denominator made primitive once."""
+    kind = node[0]
+    if kind == "n":
+        return RatFunc.constant(node[2])
+    if kind == "z":
+        return RatFunc.z()
+    if kind == "^":
+        return _value(node[2]) ** node[3]
+    if kind == "*":
+        acc = _value(node[2])
+        for op, t in node[3]:
+            acc = acc * _value(t) if op == "*" else acc / _value(t)
+        return acc
+    acc, ints, den = None, [], 1
+    for sign, t in node[2]:
+        f = _value(t)
+        if not f.is_polynomial:
+            if sign < 0:
+                f = -f
+            acc = f if acc is None else acc + f
+            continue
+        p = f.num
+        c = p._content
+        d = lcm(den, c.denominator)
+        if d != den:
+            ints = [d // den * x for x in ints]
+            den = d
+        k = sign * c.numerator * (den // c.denominator)
+        if len(ints) < len(p._ints):
+            ints.extend([0] * (len(p._ints) - len(ints)))
+        for i, x in enumerate(p._ints):
+            if x:
+                ints[i] += k * x
+    if not ints:
+        return RatFunc.zero() if acc is None else acc
+    poly = RatFunc._coprime(_primitive(ints, Fraction(1, den)), _ONE_POLY)
+    return poly if acc is None else acc + poly
+
+
+def _bounds_hold(b: Bounds, f: RatFunc) -> bool:
+    """True when f is within the bounds b.  For num = c P and den = c' Q,
+    P and Q primitive, and r = c / c', f is N / D with N = r.numerator P
+    and D = r.denominator Q, which divides every other integer pair of f:
+    that pair is compared."""
+    P, Q = f.num._ints, f.den._ints
+    r = f.num._content / f.den._content
+    got = (len(P) - 1, len(Q) - 1, abs(r.numerator) * sum(map(abs, P)), r.denominator * sum(map(abs, Q)))
+    return all(map(le, got, b)) and (not b[4] or max(sum(map(bool, P)), sum(map(bool, Q))) <= 1)
+
+
+def _evaluate(node: tuple) -> RatFunc:
+    try:
+        return _value(node)
+    except ZeroDenominator:
+        raise ParseError("division by zero in expression") from None
 
 
 def parse_ratfunc(
@@ -1334,7 +1389,7 @@ def parse_ratfunc(
     given budget, or a budget for this text alone (see ParseBudget)."""
     if budget is None:
         budget = ParseBudget(len(text))
-    return _evaluate(_tokenize(text, var), text, budget)
+    return _evaluate(_parse(_tokenize(text, var), text, budget))
 
 
 # An expression in partial fractions: its finite tails {a: (c_1, ..., c_K)}
@@ -1342,9 +1397,9 @@ def parse_ratfunc(
 # {m: c_m} with no zero coefficient.
 PartialFractions = tuple[dict[Fraction, tuple[Fraction, ...]], dict[int, Fraction]]
 
-# One summand as written (see _summands): (a, k, c, cbits, abits) for
-# c/(z - a)^k, and (None, m, c, cbits, 0) for c*z^m.
-Summand = tuple[Fraction | None, int, Fraction, int, int]
+# One summand as written (see _summands): (a, k, c) for c/(z - a)^k, and
+# (None, m, c) for c*z^m.
+Summand = tuple[Fraction | None, int, Fraction]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -1353,25 +1408,18 @@ def parse_partial_fractions(
     text: str, budget: ParseBudget | None = None
 ) -> tuple[RatFunc, PartialFractions | None]:
     """parse_ratfunc in the variable z, plus the partial fractions the
-    text is written in, or None (see _summands).
-
-    When _fits shows that the general parser would refuse none of its
-    steps on such a text, the value is built from the partial fractions
-    in closed form, after the budget is charged the work of _merged.  Any
-    other text goes through the general parser, with its charges and its
-    errors."""
+    text is written in, or None (see _summands).  Both are cleared and
+    charged by the same gate; the value of a text in partial fractions is
+    then built from them in closed form, and any other text is evaluated
+    from its parse tree."""
     if budget is None:
         budget = ParseBudget(len(text))
     toks = _tokenize(text, "z")
+    node = _parse(toks, text, budget)
     summands = _summands(toks)
     if summands is None:
-        return _evaluate(toks, text, budget), None
-    if not _fits(summands):
-        f = _evaluate(toks, text, budget)
-        return f, _merged(summands)[0]
-    form, work = _merged(summands)
-    _charge(budget, work)
-    tails, poly = form
+        return _evaluate(node), None
+    form = tails, poly = _merged(summands)
     num, den = tails_num_den(tails.items())
     if poly:
         num = num + den * Poly([poly.get(m, _ZERO) for m in range(max(poly) + 1)])
@@ -1384,21 +1432,18 @@ def _summands(toks: list) -> list[Summand] | None:
     c/(z + a)^k, c/z^k (k >= 1), c*z^m, z^m and c, with c and a each n or
     n/d (d != 0) and one sign before each summand; None for any other
     tokens.  The grouping is the parser's: 3/4/z is (3/4)/z and -3/z^2 is
-    (-3)/z^2.  A summand carries the signed value of c, cbits =
-    max(bits n, 1) + bits d of c as written, and for a pole abits =
-    max(bits n, bits d) + 1 of a as written (bits: int.bit_length)."""
+    (-3)/z^2.  A summand carries the signed value of c."""
     n = len(toks)
 
     def number(i: int):
-        # n or n/d at i: (value, bits n, bits d, the index after it)
+        # n or n/d at i: (value, the index after it)
         if i >= n or not isinstance(toks[i], int):
             return None
         if i + 2 < n and toks[i + 1] == "/" and isinstance(toks[i + 2], int):
             if not toks[i + 2]:
                 return None  # the parser reports the division by zero
-            d = toks[i + 2]
-            return Fraction(toks[i], d), toks[i].bit_length(), d.bit_length(), i + 3
-        return Fraction(toks[i]), toks[i].bit_length(), 1, i + 1
+            return Fraction(toks[i], toks[i + 2]), i + 3
+        return Fraction(toks[i]), i + 1
 
     def power(i: int) -> tuple[int | None, int]:
         # the exponent at i, if any, of a base that ends before i
@@ -1410,37 +1455,36 @@ def _summands(toks: list) -> list[Summand] | None:
 
     def summand(i: int):
         # (summand, the index after it)
-        c, cbits = _ONE, 2
+        c = _ONE
         if toks[i : i + 1] != ["VAR"]:
             got = number(i)
             if got is None:
                 return None
-            c, bn, bd, i = got
-            cbits = max(bn, 1) + bd
+            c, i = got
             if i == n or toks[i] in ("+", "-"):
-                return (None, 0, c, cbits, 0), i
+                return (None, 0, c), i
             if toks[i] == "/":
                 if toks[i + 1 : i + 2] == ["VAR"]:
-                    a, abits, i = _ZERO, 2, i + 2
+                    a, i = _ZERO, i + 2
                 elif toks[i + 1 : i + 4] in (["(", "VAR", "-"], ["(", "VAR", "+"]):
                     got = number(i + 4)
-                    if got is None or toks[got[3] : got[3] + 1] != [")"]:
+                    if got is None or toks[got[1] : got[1] + 1] != [")"]:
                         return None
-                    a, bn, bd, j = got
+                    a, j = got
                     if toks[i + 3] == "+":
                         a = -a
-                    abits, i = max(bn, bd) + 1, j + 1
+                    i = j + 1
                 else:
                     return None
                 k, i = power(i)
-                return ((a, k, c, cbits, abits), i) if k is not None and k >= 1 else None
+                return ((a, k, c), i) if k is not None and k >= 1 else None
             if toks[i] != "*":
                 return None
             i += 1
         if toks[i : i + 1] != ["VAR"]:
             return None
         m, i = power(i + 1)
-        return ((None, m, c, cbits, 0), i) if m is not None else None
+        return ((None, m, c), i) if m is not None else None
 
     out: list[Summand] = []
     i = 0
@@ -1453,75 +1497,26 @@ def _summands(toks: list) -> list[Summand] | None:
         got = summand(i)
         if got is None:
             return None
-        (a, k, c, cbits, abits), i = got
-        out.append((a, k, -c if sign < 0 else c, cbits, abits))
+        (a, k, c), i = got
+        out.append((a, k, -c if sign < 0 else c))
     return out or None
 
 
-def _fits(summands: list[Summand]) -> bool:
-    """True when bounds read off the written summands show that the
-    general parser refuses none of its steps on them.
-
-    - Exponents: the power check reads the size of z - a, whose bits are
-      at most abits, so k * max(1, abits // 64) <= MAX_EXPONENT clears it.
-    - Degrees: every sum, product and quotient the parser forms has
-      numerator and denominator degrees at most S + P, S the sum of the
-      written orders k (each repeated term counted) and P the largest
-      written exponent m.
-    - Coefficient bits (_size_parts): every value the parser forms is a
-      number of the text, z - a, or a sum f of some of the summands in
-      lowest terms.  With den_int = prod (d_a z - n_a)^M_a the primitive
-      denominator of f and Q the product of the denominators of the c,
-      Q f den_int is an integer polynomial of height at most
-      sum_j |c_j| Q * prod_a (|n_a| + |d_a|)^M_a.  So the bits of f are at
-      most B = bits(count) + 1 + sum_j (cbits_j + k_j abits_j), and two
-      operands of at most B bits each clear the check when
-      2 B < 64 (MAX_SIZE + 1).
-    """
-    orders = sum(k for a, k, *_ in summands if a is not None)
-    top = max((k for a, k, *_ in summands if a is None), default=0)
-    bits = len(summands).bit_length() + 1 + sum(cb + k * ab for _, k, _, cb, ab in summands)
-    return (
-        orders + top <= MAX_SIZE
-        and 2 * bits < 64 * (MAX_SIZE + 1)
-        and all(k * max(1, ab // 64) <= MAX_EXPONENT for _, k, _, _, ab in summands)
-    )
-
-
-def _merged(summands: list[Summand]) -> tuple[PartialFractions, int]:
-    """The partial fractions of the summands, repeated terms added up, and
-    the work the general parser charges for them when the coefficients
-    take one word each: k^2 for each power (z - a)^k with a != 0 and
-    k > 1, and d^2 for each sum of two operands that are not constant nor
-    both polynomials, d the degree bound of _check_budget.  Its operands
-    are the summand and the sum of the summands before it, whose degrees
-    are read off the trimmed tails and polynomial part summed so far."""
+def _merged(summands: list[Summand]) -> PartialFractions:
+    """The partial fractions of the summands, repeated terms added up."""
     tails: dict[Fraction, list[Fraction]] = {}
     poly: list[Fraction] = []  # coefficients of z^0, z^1, ...
-    dd = 0  # degree of the denominator of the sum so far
-    work = 0
-    for idx, (a, k, c, _, _) in enumerate(summands):
-        if a and k > 1:
-            work += k * k
-        pd = len(poly) - 1
-        if idx and c and (a is not None or k) and (dd or pd > 0) and (dd or a is not None):
-            # numerator degree of the sum so far: dd + pd, or below dd
-            tn, td = (k, 0) if a is None else (0, k)
-            d = max(dd + pd + td, dd + tn, dd + td)
-            work += d * d
+    for a, k, c in summands:
         if a is None:
             coeffs, i = poly, k
         else:
             coeffs, i = tails.setdefault(a, []), k - 1
-            dd -= len(coeffs)
         if len(coeffs) <= i:
             coeffs.extend([_ZERO] * (i + 1 - len(coeffs)))
         coeffs[i] += c
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        if a is not None:
-            dd += len(coeffs)
     return (
-        ({a: tuple(tail) for a, tail in tails.items() if tail}, {m: c for m, c in enumerate(poly) if c}),
-        work,
+        {a: tuple(tail) for a, tail in tails.items() if tail},
+        {m: c for m, c in enumerate(poly) if c},
     )

@@ -690,6 +690,28 @@ def test_selftest_fails_on_a_wrong_class_map_under_optimize():
     assert "all invariant suites passed" not in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["(" * 300 + "z" + ")" * 300, "-" * 2000 + "z", "(1*" * 400 + "z" + ")" * 400],
+    ids=["parentheses", "signs", "products"],
+)
+def test_deep_nesting_is_an_input_error(tmp_path, value):
+    path = tmp_path / "deep.txt"
+    path.write_text(f"format: symplext/1\nE: -1\nL: 0\np: 0\nbeta[1,1]: {value}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "symplext", "subbundle", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2, proc.stderr
+    assert "line 5: bad rational function: expression nested too deeply" in proc.stderr
+
+
 def test_python_dash_m_runs_the_cli():
     golden = Path(__file__).parent / "golden"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

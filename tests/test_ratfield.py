@@ -489,45 +489,155 @@ def _summand(rng) -> str:
     return f"{rng.randint(1, 3) * 10**1000 + rng.randint(0, 9)}*z^{k}"
 
 
-def _fold(summands, budget):
-    """The sum of the (op, text) summands taken one at a time, with the
-    size check and charge of every step: the reference for expr."""
-    acc = parse_ratfunc(summands[0][1], budget=budget)
+def _fold(summands):
+    """The sum of the (op, text) summands taken one at a time: the
+    reference value for expr."""
+    acc = parse_ratfunc(summands[0][1])
     if summands[0][0] == "-":
         acc = -acc
     for op, text in summands[1:]:
-        t = parse_ratfunc(text, budget=budget)
-        budget.left -= rfmod._work(acc, op, t, rfmod._check_budget(acc, op, t))
+        t = parse_ratfunc(text)
         acc = acc + t if op == "+" else acc - t
     return acc
 
 
-def test_sum_parse_matches_term_by_term_fold():
-    # a run of polynomial summands is added in one pass; the result, the
-    # refusals with their messages, and the charges are those of the fold
+def _fold_texts():
+    """400 seeded sums of _summand terms, every fifth cancelling to zero,
+    as (text, [(op, summand text), ...])."""
     rng = random.Random(4242)
-    refused = cancelled = 0
     for case in range(400):
         count = rng.randint(1, 12)
         summands = [(rng.choice("+-"), _summand(rng)) for _ in range(count)]
-        if case % 5 == 0:  # cancellation to zero
+        if case % 5 == 0:
             summands += [("-" if op == "+" else "+", t) for op, t in summands]
-        text = " ".join(f"{op} {t}" for op, t in summands).removeprefix("+ ")
-        ref_budget, budget = ParseBudget(len(text)), ParseBudget(len(text))
+        yield " ".join(f"{op} {t}" for op, t in summands).removeprefix("+ "), summands
+
+
+def test_sum_parse_matches_term_by_term_fold():
+    # a run of polynomial summands is added in one pass; the result is
+    # the fold's, and the 40 sums refused are those that the gate on the
+    # values of each step refused, with two long coefficients
+    refused = cancelled = 0
+    for text, summands in _fold_texts():
+        ref = _fold(summands)
         try:
-            ref = _fold(summands, ref_budget)
+            f = parse_ratfunc(text)
         except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                parse_ratfunc(text, budget=budget)
-            assert str(got.value) == str(exc)
+            assert "too large" in str(exc)
             refused += 1
             continue
-        f = parse_ratfunc(text, budget=budget)
         assert f == ref, text
         _assert_canonical(f)
-        assert budget.left == ref_budget.left
         cancelled += f.is_zero
-    assert refused >= 25 and cancelled >= 40
+    assert refused == 40 and cancelled >= 40
+
+
+def _size_parts(f: RatFunc) -> tuple[int, int, int]:
+    """(deg num, deg den, coefficient bits) of f.  A Poly c * P, with P
+    primitive, has the bits of c's numerator plus those of its largest
+    |P_i|, or those of c's denominator if that is more."""
+
+    def bits(p: Poly) -> int:
+        if p.is_zero:
+            return 0
+        c = p._content
+        top = max(abs(x) for x in p._ints).bit_length()
+        return max(c.numerator.bit_length() + top, c.denominator.bit_length())
+
+    return f.num.degree, f.den.degree, max(bits(f.num), bits(f.den))
+
+
+def _checked_value(node, seen: list) -> RatFunc:
+    """The value of a parse tree, built step by step with RatFunc
+    arithmetic, after checking every node's value against its bounds;
+    seen counts the nodes."""
+    kind, b = node[0], node[1]
+    if kind == "n":
+        f = RatFunc.constant(node[2])
+    elif kind == "z":
+        f = RatFunc.z()
+    elif kind == "^":
+        f = _checked_value(node[2], seen) ** node[3]
+    elif kind == "*":
+        f = _checked_value(node[2], seen)
+        for op, t in node[3]:
+            g = _checked_value(t, seen)
+            f = f * g if op == "*" else f / g
+    else:
+        f = RatFunc.zero()
+        for sign, t in node[2]:
+            f = f + _checked_value(t, seen) * sign
+    dn, dd, bits = _size_parts(f)
+    assert dn <= b[0] and dd <= b[1] and bits <= rfmod._bits(b), (node, f)
+    assert rfmod._bounds_hold(b, f), (node, f)
+    seen.append(node)
+    return f
+
+
+def _nested_quotient(rng, depth: int) -> str:
+    """Sums, products and quotients of 30-digit constants, z, and linear
+    factors that are not monic, such as (71*z - 43)."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.random()
+        if kind < 0.4:
+            return f"({rng.randint(2, 99)}*z - {rng.randint(1, 99)})"
+        if kind < 0.7:
+            return str(rng.randint(10**29, 10**30))
+        if kind < 0.85:
+            return f"{rng.randint(1, 9)}/{rng.randint(10**29, 10**30)}"
+        return "z"
+    a, b = _nested_quotient(rng, depth - 1), _nested_quotient(rng, depth - 1)
+    power = f"^{rng.randint(2, 3)}" if rng.random() < 0.15 else ""
+    return f"({a} {rng.choice('+-*/')} {b}){power}"
+
+
+def test_bounds_cover_every_value():
+    # the gate clears every step from bounds alone, and the evaluator then
+    # runs unchecked: at every node of every text, the value's degrees
+    # and coefficient bits are within the node's bounds
+    from test_textio import BIG, _pf_entry
+
+    texts = [text for text, _ in _fold_texts()]
+    rng = random.Random(26)
+    points = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), BIG)
+    texts += [_pf_entry(rng, points)[0] for _ in range(200)]
+    texts += [_nested_quotient(rng, 4) for _ in range(150)]
+    # a factor of (z^10 - 1)^5, with 1-norm 32, has coefficients of up to
+    # 13 bits: the gcd cofactor term of the bounds is needed
+    texts.append("(z^10 - 1)^5 / (z - 1)^5")
+    seen: list = []
+    for text in texts:
+        try:
+            tree = rfmod._parse(rfmod._tokenize(text, "z"), text, ParseBudget(10**9))
+            f = rfmod._value(tree)
+        except (ParseError, ZeroDenominator):
+            continue
+        assert _checked_value(tree, seen) == f, text
+    assert len(seen) > 10_000
+
+
+def _tails_num_den_reference(tails):
+    # the Poly route: (z - a)^m by powers, each tail over its pole by shift
+    num, den = Poly.zero(), Poly.one()
+    for a, tail in tails:
+        pole = Poly((-a, 1)) ** len(tail)
+        num = num * pole + Poly(tail[::-1]).shift(-a) * den
+        den = den * pole
+    return num, den
+
+
+def test_integer_tails_match_the_poly_route():
+    rng = random.Random(2026)
+    points = [Fraction(k) for k in range(-3, 4)]
+    points += [Fraction(2, 3), Fraction(-1, 2), Fraction(10**16), Fraction(-(10**16) - 1, 7)]
+    for _ in range(300):
+        tails = []
+        for a in rng.sample(points, rng.randint(0, 4)):
+            tail = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+            tails.append((a, tuple(tail) + (Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)),)))
+        f = RatFunc._coprime(*rfmod.tails_num_den(tails))
+        assert f == RatFunc._coprime(*_tails_num_den_reference(tails))
+        _assert_canonical(f)
 
 
 def test_long_sum_takes_one_primitive_part(monkeypatch):

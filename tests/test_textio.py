@@ -680,16 +680,46 @@ def test_partial_fraction_powers_charge_as_the_general_parser():
         parse_document(doc)
 
 
-def test_closed_form_charges_points_of_two_words_as_one():
-    # (z - a)^24 with a of 130 bits: the general parser charges its power
-    # (24 * 2)^2 units, the closed form 24^2, so 16 such entries pass the
-    # budget of their document only in closed form
+def test_points_of_two_words_charge_alike_on_both_routes():
+    # (z - a)^24 with a of 130 bits: its power charges (24 * 2)^2 units in
+    # partial fractions as in the step-by-step parse, so both refuse the
+    # 16 entries at the same line
     a = 2**129 + 1
     lines = ["format: symplext/1", "E: -1 -1 -1 -1", "L: 0"]
     lines += [f"beta[{i},{j}]: 1/(z - {a + 4 * i + j})^24" for i in range(1, 5) for j in range(1, 5)]
     text = "\n".join(lines) + "\n"
-    assert parse_document(text).beta.tails is not None
+    with pytest.raises(ParseError, match="parse budget") as doc:
+        parse_document(text)
     budget = ParseBudget(len(text))
     with pytest.raises(ParseError, match="parse budget"):
-        for line in lines[3:]:
+        for lineno, line in enumerate(lines[3:], 4):
             parse_ratfunc(line.split(": ")[1], budget=budget)
+    assert str(doc.value).startswith(f"line {lineno}: ")
+    assert 4 < lineno <= len(lines)
+
+
+_EXPR_CHARS = "0123456789z+-*/^() "
+# token runs, which parse far more often than strings of characters
+_TOKEN_RUNS = st.lists(
+    st.sampled_from(["z", "2", "3/4", "10000000000000000", "(", ")", "+", "-", "*", "/", "^2", "^7", "^"]),
+    max_size=60,
+).map(" ".join)
+
+
+def _parsed_or_none(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return None
+
+
+@given(st.text(_EXPR_CHARS, max_size=200) | _TOKEN_RUNS | _EXPRESSIONS)
+@settings(derandomize=True, max_examples=250, deadline=1000)
+def test_parser_routes_agree_and_raise_only_parse_error(text):
+    # each route raises only ParseError, and the two routes of a text agree
+    # on its value and on whether it is refused
+    f = _parsed_or_none(parse_ratfunc, text)
+    assert _parsed_or_none(lambda t: parse_partial_fractions(t)[0], text) == f
+    doc = _parsed_or_none(parse_document, f"format: symplext/1\nE: -1\nL: 0\nbeta[1,1]: {text}\n")
+    if doc is not None and f is not None:
+        assert doc.beta[0, 0] == f
