@@ -264,7 +264,7 @@ def prin_of(phi: RatHom) -> PrinHom:
 
 def prin_of_partial_fractions(src, dst, forms: Sequence[Sequence[PartialFractions]]) -> PrinHom:
     """prin_of of the map whose entry (i, j) is written in the partial
-    fractions forms[i][j] (see ratfield._summands), read off the
+    fractions forms[i][j] (see ratfield._partial_fractions), read off the
     form with no gcd and no root search.
 
     The finite tails are those of the form.  At infinity, in the twist t

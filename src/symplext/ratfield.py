@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
@@ -716,8 +716,9 @@ class RatFunc:
         if val >= 0:
             return ()
         _, series = self.laurent0(-1)
-        # series[i] is the coefficient of z^(val + i); c_k = coeff of z^(-k)
-        return _trim_polar(tuple(series[-k - val] for k in range(1, -val + 1)))
+        # series[i] is the coefficient of z^(val + i); c_k = coeff of z^(-k),
+        # and the last, c_(-val) = series[0], is not 0
+        return tuple(series[-k - val] for k in range(1, -val + 1))
 
     def finite_poles(self) -> dict[Fraction, int]:
         """Rational poles with multiplicities.
@@ -782,23 +783,10 @@ def _as_ratfunc(x) -> "RatFunc":
     return RatFunc.constant(x)
 
 
-def _trim_polar(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def _rational_roots(p: Poly) -> tuple[dict[Fraction, int], int]:
@@ -842,9 +830,10 @@ class PolarPart:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", _trim_polar(tuple(as_fraction(c) for c in self.coeffs))
-        )
+        cs = [as_fraction(c) for c in self.coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @property
     def is_zero(self) -> bool:
@@ -871,14 +860,7 @@ class PolarPart:
         """The rational function sum c_k / (z - a)^k; finite points only."""
         if self.point.is_infinity:
             raise ValueError("infinity polar part has no untwisted function form")
-        a = self.point.value
-        m = len(self.coeffs)
-        num = Poly.zero()
-        lin = Poly((-a, 1))
-        for k in range(1, m + 1):
-            if self.coeffs[k - 1]:
-                num = num + (lin ** (m - k)).scale(self.coeffs[k - 1])
-        return RatFunc(num, lin ** m)
+        return RatFunc._coprime(*tails_num_den([(self.point.value, self.coeffs)]))
 
 
 def tails_num_den(tails: Iterable[tuple[Fraction, Sequence[Fraction]]]) -> tuple[Poly, Poly]:
@@ -1132,12 +1114,17 @@ def _tokenize(text: str, var: str) -> list:
     return toks
 
 
-# Bounds on the value of an expression: (dn, dd, n1, d1, term) says that
-# the value is N/D for some N, D in Z[z] with no common factor of positive
-# degree, deg N <= dn (dn = -1: N = 0), deg D <= dd, ||N||_1 <= n1 and
-# ||D||_1 <= d1 (the sums of the absolute values of the coefficients), and
-# if term, that N and D have one term each.  dd = 0 makes D an integer.
-Bounds = tuple[int, int, int, int, bool]
+# Bounds on the value of an expression: (dn, dd, n1, d1, term, c) says
+# that the value is N/D for some N, D in Z[z] with no common factor of
+# positive degree, deg N <= dn (dn = -1 and n1 = 0: N = 0), deg D <= dd,
+# ||N||_1 <= n1 and ||D||_1 <= d1 (the sums of the absolute values of the
+# coefficients), and if term, that N and D have one term each.  dd = 0
+# makes D an integer and dn = 0 makes N one, and then the value times d1,
+# or n1 over a nonzero value, is in Z[z] with 1-norm at most n1, or d1:
+# d1 is a multiple of D and n1 one of N.  For that, a constant (dn <= 0
+# and dd = 0) or a zero carries the integer c = d1 times its value, and
+# n1 = |c|; else c is None.
+Bounds = tuple[int, int, int, int, bool, int | None]
 
 
 def _bits(b: Bounds) -> int:
@@ -1147,7 +1134,7 @@ def _bits(b: Bounds) -> int:
     of c's denominator.  The numerator is N / lc(D), within n1 and a
     denominator dividing lc(D); the denominator is 1 if dd = 0 (2 bits),
     else D / lc(D), within d1 and one bit for the content 1 / lc."""
-    dn, dd, n1, d1, _ = b
+    dn, dd, n1, d1, _, _ = b
     return max(n1.bit_length() + 1, d1.bit_length() + (dd > 0), 2)
 
 
@@ -1169,34 +1156,43 @@ def _gate(a: Bounds, op: str, b: Bounds, budget: ParseBudget) -> Bounds:
 
     With N/D the pairs of the bounds, a * b is Na Nb / Da Db, a / b is
     Na Db / Da Nb, and a + b is (Na Db + Nb Da) / Da Db, or over the lcm
-    when Da and Db are integers; the 1-norm is submultiplicative.  The
-    operands have no common factor, so one of positive degree can cancel
+    of Da and Db when both are integers: an integer bound is a multiple of
+    the integer it bounds (see Bounds).  The 1-norm is submultiplicative.
+    The operands have no common factor, so one of positive degree can cancel
     only between a numerator and the other's denominator in a product,
     between the numerators or the denominators in a quotient, and in a sum
     only when both denominators have positive degree.  Where it can, the
     pair is divided by its gcd, and by Mignotte's bound (Math. Comp. 28
     (1974)) a factor h of f in Z[z] has ||h||_1 <= 2^deg h ||f||_2: the
     norms take 2^dn and 2^dd."""
-    adn, add, an1, ad1, aterm = a
-    bdn, bdd, bn1, bd1, bterm = b
-    term = aterm and bterm
+    adn, add, an1, ad1, aterm, ac = a
+    bdn, bdd, bn1, bd1, bterm, bc = b
+    term, c = aterm and bterm, None
     if op == "*":
         dn = adn + bdn if adn >= 0 and bdn >= 0 else -1
         dd, n1, d1 = add + bdd, an1 * bn1, ad1 * bd1
         cancels = (adn > 0 and bdd > 0) or (bdn > 0 and add > 0)
+        if dn == dd == 0:  # of two constants
+            c = ac * bc
     elif op == "/":
         if bdn < 0:
             raise ParseError("division by zero in expression")
         dn = adn + bdd if adn >= 0 else -1
         dd, n1, d1 = add + bdn, an1 * bd1, ad1 * bn1
         cancels = (adn > 0 and bdn > 0) or (add > 0 and bdd > 0)
+        if dn == dd == 0:
+            c = ac * bd1 if bc > 0 else -ac * bd1
     else:
         dn, dd, term = max(adn + bdd, bdn + add), add + bdd, False
         if dd:
             n1, d1 = an1 * bd1 + bn1 * ad1, ad1 * bd1
         else:
             d1 = lcm(ad1, bd1)
-            n1 = an1 * (d1 // ad1) + bn1 * (d1 // bd1)
+            ka, kb = d1 // ad1, d1 // bd1
+            n1 = an1 * ka + bn1 * kb
+            if dn == 0:  # of two constants, as dd = 0
+                c = ac * ka + bc * kb if op == "+" else ac * ka - bc * kb
+                n1 = abs(c)
         cancels = add > 0 and bdd > 0
     size = max(dn, dd, (_bits(a) + _bits(b)) // 64)
     if size > MAX_SIZE:
@@ -1206,9 +1202,16 @@ def _gate(a: Bounds, op: str, b: Bounds, budget: ParseBudget) -> Bounds:
         )
     if (adn > 0 or add) and (bdn > 0 or bdd) and (dd or op in "*/"):
         _charge(budget, size * size)
+    if not n1:  # the value is 0, as a divisor must not be
+        dn, cancels, c = -1, False, 0
     if cancels:
         n1, d1 = n1 << dn, d1 << dd
-    return dn, dd, n1, d1, term
+    return dn, dd, n1, d1, term, c
+
+
+def _signed(b: Bounds, sign: int) -> Bounds:
+    """The bounds of sign times a value within b."""
+    return b if sign > 0 or b[5] is None else b[:5] + (-b[5],)
 
 
 def _gate_power(b: Bounds, e: int, budget: ParseBudget) -> Bounds:
@@ -1216,7 +1219,7 @@ def _gate_power(b: Bounds, e: int, budget: ParseBudget) -> Bounds:
     least 1: its degree, or the 64-bit words of its coefficients if that
     is larger.  e times that size may be at most MAX_EXPONENT, and unless
     the base is a single term the power charges (e * size)^2."""
-    dn, dd, n1, d1, term = b
+    dn, dd, n1, d1, term, c = b
     size = max(1, dn, dd, _bits(b) // 64)
     if e * size > MAX_EXPONENT:
         raise ParseError(
@@ -1225,14 +1228,15 @@ def _gate_power(b: Bounds, e: int, budget: ParseBudget) -> Bounds:
         )
     if e > 1 and not term:
         _charge(budget, (e * size) ** 2)
-    return -1 if dn < 0 < e else dn * e, dd * e, n1**e, d1**e, term
+    c = c**e if c is not None else None if e else 1
+    return -1 if dn < 0 < e else dn * e, dd * e, n1**e, d1**e, term, c
 
 
 # A parse tree node is a tuple whose second field is its Bounds:
 # ("n", b, c) the integer c, ("z", b) the variable, ("^", b, base, e),
 # ("*", b, first, [(op, factor), ...]) with op "*" or "/", and
 # ("+", b, [(sign, summand), ...]) with sign 1 or -1.
-_Z_NODE = ("z", (1, 0, 1, 1, True))
+_Z_NODE = ("z", (1, 0, 1, 1, True, None))
 
 
 class _Parser:
@@ -1252,11 +1256,11 @@ class _Parser:
     def expr(self) -> tuple:
         sign, node = self.product()
         items = [(sign, node)]
-        b = node[1]
+        b = _signed(node[1], sign)
         while (op := self.toks[self.pos]) in ("+", "-"):
             self.pos += 1
             s, t = self.product()
-            b = _gate(b, op, t[1], self.budget)
+            b = _gate(b, op, _signed(t[1], s), self.budget)
             items.append((-s if op == "-" else s, t))
         if len(items) == 1 and sign > 0:
             return node
@@ -1287,7 +1291,7 @@ class _Parser:
                 "of parentheses or signs"
             )
         if t.__class__ is int:
-            node = ("n", (0 if t else -1, 0, t, 1, True), t)
+            node = ("n", (0 if t else -1, 0, t, 1, True, t), t)
         elif t == "VAR":
             node = _Z_NODE
         elif t == "(":
@@ -1369,8 +1373,23 @@ def _bounds_hold(b: Bounds, f: RatFunc) -> bool:
     that pair is compared."""
     P, Q = f.num._ints, f.den._ints
     r = f.num._content / f.den._content
-    got = (len(P) - 1, len(Q) - 1, abs(r.numerator) * sum(map(abs, P)), r.denominator * sum(map(abs, Q)))
-    return all(map(le, got, b)) and (not b[4] or max(sum(map(bool, P)), sum(map(bool, Q))) <= 1)
+    n1, d1 = abs(r.numerator) * sum(map(abs, P)), r.denominator * sum(map(abs, Q))
+    terms = max(sum(map(bool, P)), sum(map(bool, Q)))
+    c = b[5]
+    exact = c is None or (f == RatFunc.constant(Fraction(c, b[3])) and abs(c) == b[2])
+    return all(map(le, (len(P) - 1, len(Q) - 1, n1, d1), b)) and (terms <= 1 or not b[4]) and exact
+
+
+def _bounds_cover_values(text: str) -> bool:
+    """True when, at every node of the parse tree of text, the value is
+    within the node's bounds, as the unchecked evaluator needs."""
+    nodes = [_parse(_tokenize(text, "z"), text, ParseBudget(len(text)))]
+    for node in nodes:  # the list grows to every node of the tree
+        if node[0] in "^*":  # a base, or a first factor
+            nodes.append(node[2])
+        if node[0] in "*+":  # the (op, factor) or (sign, summand) pairs
+            nodes += [t for _, t in node[-1]]
+    return all(_bounds_hold(node[1], _value(node)) for node in nodes)
 
 
 def _evaluate(node: tuple) -> RatFunc:
@@ -1397,10 +1416,6 @@ def parse_ratfunc(
 # {m: c_m} with no zero coefficient.
 PartialFractions = tuple[dict[Fraction, tuple[Fraction, ...]], dict[int, Fraction]]
 
-# One summand as written (see _summands): (a, k, c) for c/(z - a)^k, and
-# (None, m, c) for c*z^m.
-Summand = tuple[Fraction | None, int, Fraction]
-
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -1408,7 +1423,7 @@ def parse_partial_fractions(
     text: str, budget: ParseBudget | None = None
 ) -> tuple[RatFunc, PartialFractions | None]:
     """parse_ratfunc in the variable z, plus the partial fractions the
-    text is written in, or None (see _summands).  Both are cleared and
+    text is written in, or None (see _partial_fractions).  Both are cleared and
     charged by the same gate; the value of a text in partial fractions is
     then built from them in closed form, and any other text is evaluated
     from its parse tree."""
@@ -1416,10 +1431,10 @@ def parse_partial_fractions(
         budget = ParseBudget(len(text))
     toks = _tokenize(text, "z")
     node = _parse(toks, text, budget)
-    summands = _summands(toks)
-    if summands is None:
+    form = _partial_fractions(toks)
+    if form is None:
         return _evaluate(node), None
-    form = tails, poly = _merged(summands)
+    tails, poly = form
     num, den = tails_num_den(tails.items())
     if poly:
         num = num + den * Poly([poly.get(m, _ZERO) for m in range(max(poly) + 1)])
@@ -1427,12 +1442,12 @@ def parse_partial_fractions(
     return RatFunc._coprime(num, den), form
 
 
-def _summands(toks: list) -> list[Summand] | None:
-    """The summands of tokens written as a sum of c/(z - a)^k,
+def _partial_fractions(toks: list) -> PartialFractions | None:
+    """The partial fractions of tokens written as a sum of c/(z - a)^k,
     c/(z + a)^k, c/z^k (k >= 1), c*z^m, z^m and c, with c and a each n or
-    n/d (d != 0) and one sign before each summand; None for any other
-    tokens.  The grouping is the parser's: 3/4/z is (3/4)/z and -3/z^2 is
-    (-3)/z^2.  A summand carries the signed value of c."""
+    n/d and one sign before each summand, repeated terms added up; None
+    for any other tokens.  The grouping is the parser's: 3/4/z is (3/4)/z
+    and -3/z^2 is (-3)/z^2.  The tokens have been parsed, so no d is 0."""
     n = len(toks)
 
     def number(i: int):
@@ -1440,8 +1455,6 @@ def _summands(toks: list) -> list[Summand] | None:
         if i >= n or not isinstance(toks[i], int):
             return None
         if i + 2 < n and toks[i + 1] == "/" and isinstance(toks[i + 2], int):
-            if not toks[i + 2]:
-                return None  # the parser reports the division by zero
             return Fraction(toks[i], toks[i + 2]), i + 3
         return Fraction(toks[i]), i + 1
 
@@ -1486,7 +1499,8 @@ def _summands(toks: list) -> list[Summand] | None:
         m, i = power(i + 1)
         return ((None, m, c), i) if m is not None else None
 
-    out: list[Summand] = []
+    tails: dict[Fraction, list[Fraction]] = {}
+    poly: list[Fraction] = []  # coefficients of z^0, z^1, ...
     i = 0
     while i < n:
         sign = 1
@@ -1498,25 +1512,13 @@ def _summands(toks: list) -> list[Summand] | None:
         if got is None:
             return None
         (a, k, c), i = got
-        out.append((a, k, -c if sign < 0 else c))
-    return out or None
-
-
-def _merged(summands: list[Summand]) -> PartialFractions:
-    """The partial fractions of the summands, repeated terms added up."""
-    tails: dict[Fraction, list[Fraction]] = {}
-    poly: list[Fraction] = []  # coefficients of z^0, z^1, ...
-    for a, k, c in summands:
         if a is None:
-            coeffs, i = poly, k
+            coeffs = poly
         else:
-            coeffs, i = tails.setdefault(a, []), k - 1
-        if len(coeffs) <= i:
-            coeffs.extend([_ZERO] * (i + 1 - len(coeffs)))
-        coeffs[i] += c
+            coeffs, k = tails.setdefault(a, []), k - 1
+        if len(coeffs) <= k:
+            coeffs.extend([_ZERO] * (k + 1 - len(coeffs)))
+        coeffs[k] += -c if sign < 0 else c
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-    return (
-        {a: tuple(tail) for a, tail in tails.items() if tail},
-        {m: c for m, c in enumerate(poly) if c},
-    )
+    return {a: tuple(t) for a, t in tails.items() if t}, {m: c for m, c in enumerate(poly) if c}

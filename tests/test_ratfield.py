@@ -605,6 +605,9 @@ def test_bounds_cover_every_value():
     # a factor of (z^10 - 1)^5, with 1-norm 32, has coefficients of up to
     # 13 bits: the gcd cofactor term of the bounds is needed
     texts.append("(z^10 - 1)^5 / (z - 1)^5")
+    # differences of constants whose 1-norm bounds pass their values:
+    # integer denominators are exact, or the lcm of a sum is not one
+    texts += ["1/(4-1) + 1/5", "z/(4-1) + z/5", "1/(1/(z/(4-1) + z/5))", "-(2-3)^3/(1-4) + z^0/7"]
     seen: list = []
     for text in texts:
         try:
@@ -614,6 +617,18 @@ def test_bounds_cover_every_value():
             continue
         assert _checked_value(tree, seen) == f, text
     assert len(seen) > 10_000
+
+
+def test_sums_over_differences_of_constants_are_bounded():
+    # each x - y with x + y = 1001 is at most 1001 by the 1-norm, but the
+    # sum of 1/(x - y) over odd primes x - y below 400 has a denominator of
+    # about 500 bits: the power must be refused before it runs
+    primes = [p for p in range(3, 400, 2) if all(p % q for q in range(3, p, 2))]
+    terms = [f"1/({(1001 + p) // 2} - {(1001 - p) // 2})" for p in primes]
+    with pytest.raises(ParseError, match="power too large: exponent 100"):
+        parse_ratfunc(f"({' + '.join(terms)})^100")
+    f = parse_ratfunc(" + ".join(terms))
+    assert f.num.degree == 0 and f(0).denominator == math.prod(primes)
 
 
 def _tails_num_den_reference(tails):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symplext.bundles import RatHom
@@ -701,7 +701,7 @@ def test_points_of_two_words_charge_alike_on_both_routes():
 _EXPR_CHARS = "0123456789z+-*/^() "
 # token runs, which parse far more often than strings of characters
 _TOKEN_RUNS = st.lists(
-    st.sampled_from(["z", "2", "3/4", "10000000000000000", "(", ")", "+", "-", "*", "/", "^2", "^7", "^"]),
+    st.sampled_from(["z", "0", "2", "3/4", "10000000000000000", "(", ")", "+", "-", "*", "/", "^2", "^7", "^"]),
     max_size=60,
 ).map(" ".join)
 
@@ -715,6 +715,10 @@ def _parsed_or_none(parse, text):
 
 @given(st.text(_EXPR_CHARS, max_size=200) | _TOKEN_RUNS | _EXPRESSIONS)
 @settings(derandomize=True, max_examples=250, deadline=1000)
+# zeros whose bounds have a numerator degree, divided by or multiplied
+@example("0/z*z")
+@example("(0*(1/z))/(1/z)")
+@example("3 - 8/(0/z - 0)")
 def test_parser_routes_agree_and_raise_only_parse_error(text):
     # each route raises only ParseError, and the two routes of a text agree
     # on its value and on whether it is refused
